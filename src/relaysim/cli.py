@@ -14,10 +14,19 @@ from . import analysis
 from .core import IDLE, NetworkParams
 from .harness import (ExperimentConfig, aggregate_ci, boundary_oracle,
                       box_grid, config_to_dict, gamma_grid, header_lines,
-                      parse_config, run_seeds, sweep_grid)
+                      parse_config, run_seeds, stable_fraction, sweep_grid)
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The experiment config from --config and the flags; bad input exits
+    with a one-line message."""
+    try:
+        return _build_config(args)
+    except ValueError as exc:
+        raise SystemExit(f"relaysim {args.command}: {exc}") from None
+
+
+def _build_config(args) -> ExperimentConfig:
     if args.config:
         config = parse_config(Path(args.config).read_text())
     else:
@@ -89,7 +98,7 @@ def cmd_run(args):
         mean, half = aggregate_ci(q_avgs)
         summary["q_avg_mean"] = mean
         summary["q_avg_ci90_half"] = half
-    summary["stable_fraction"] = sum(r.stable for r in results) / len(results)
+    summary["stable_fraction"] = stable_fraction(results)
     out = _open_out(args)
     json.dump(summary, out, indent=2)
     out.write("\n")
@@ -99,9 +108,14 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
+    n_nodes = config.params.n_nodes
     if args.gamma:
         gammas = [float(g) for g in args.gamma.split(",")]
         grid = gamma_grid(config.params.lam, gammas)
+    elif n_nodes > 2:
+        raise SystemExit(f"relaysim sweep: a box sweep needs 2 rates (one "
+                         f"relay), not {n_nodes}; use --gamma to sweep a "
+                         f"network with more relays")
     else:
         n = args.grid
         grid = box_grid(n, args.l0_max, args.l1_max)
@@ -109,15 +123,17 @@ def cmd_sweep(args):
     out = _open_out(args)
     for line in header_lines(config):
         out.write(line + "\n")
-    out.write("lambda0,lambda1,mean_q_avg,stable_fraction,mean_final,ci_half\n")
+    lambdas = ",".join(f"lambda{i}" for i in range(n_nodes))
+    out.write(f"{lambdas},mean_q_avg,stable_fraction,mean_final,ci_half\n")
     for row in rows:
-        lam = row["lam"]
+        lam = ",".join(f"{a:.10g}" for a in row["lam"])
         if "error" in row:
-            out.write(f"{lam[0]:.10g},{lam[1]:.10g},error,,,\n")
+            out.write(f"{lam},error,,,\n")
             continue
-        out.write(f"{lam[0]:.10g},{lam[1]:.10g},{row['mean_q_avg']:.6g},"
-                  f"{row['stable_fraction']:.3f},{row['mean_final']:.6g},"
-                  f"{row['ci_half']:.6g}\n")
+        fraction = row["stable_fraction"]
+        fraction = "" if fraction is None else f"{fraction:.3f}"
+        out.write(f"{lam},{row['mean_q_avg']:.6g},{fraction},"
+                  f"{row['mean_final']:.6g},{row['ci_half']:.6g}\n")
     if args.out:
         out.close()
 
@@ -150,6 +166,9 @@ def cmd_boundary_oracle(args):
 
 
 def cmd_dtmc_check(args):
+    if args.seed is not None and args.seed < 0:
+        raise SystemExit(f"relaysim dtmc-check: seed must be non-negative, "
+                         f"got {args.seed}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst_gap = 0.0
     worst_balance = 0.0

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import IDLE, NetworkParams, QueueState, validate_channel
 
 
@@ -77,6 +79,28 @@ def blind_decision(params: NetworkParams, rng):
         elif draw == best:
             collided = True
     return IDLE if collided else winner
+
+
+def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
+    """n_slots successive backoff elections, drawn as one block.
+
+    With `channels`, an (n_slots, N+1) array of 0/1 channel states, slot t is
+    run_contention's election under row t: node 0 and the ON relays contend.
+    Without it every node contends, as in blind_decision. Each slot takes one
+    row of N+1 uniforms, so the decisions, and the stream position left
+    behind, equal those of n_slots successive single-slot calls.
+    """
+    n = params.n_nodes
+    w = params.contention_window
+    u = rng.uniform_matrix(n_slots, n)
+    draws = np.minimum((u * (w + 1)).astype(np.int64), w)
+    if channels is not None:
+        contends = np.asarray(channels) != 0
+        contends[:, 0] = True
+        draws = np.where(contends, draws, w + 1)  # above every real draw
+    unique = (draws == draws.min(axis=1, keepdims=True)).sum(axis=1) == 1
+    winners = np.where(unique, draws.argmin(axis=1), -1).tolist()
+    return [IDLE if i < 0 else i for i in winners]
 
 
 def sampled_decision(params: NetworkParams, channel, rng):

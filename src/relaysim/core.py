@@ -32,6 +32,7 @@ class NetworkParams:
     weight fed to the logistic activation probability of the CSMA schedulers
     (see scheduling.activation_weight). contention_window is the number W of
     extra backoff mini-slots after the N+1 channel-broadcast mini-slots.
+    seed is the non-negative base seed that run_seeds counts up from.
     """
 
     n_relays: int
@@ -65,6 +66,8 @@ class NetworkParams:
             raise ValueError("activation_gain must be positive")
         if self.contention_window < 1:
             raise ValueError("contention window must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_nodes(self):

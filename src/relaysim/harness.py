@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Optional
 
 import numpy as np
 from scipy import stats as _st
 
-from .contention import (blind_decision, run_contention, sampled_decision,
-                         sampled_decision_blind)
+from .contention import elect_block, sampled_decision, sampled_decision_blind
 from .core import (IDLE, NetworkParams, QueueState, SlotRecord, apply_slot)
-from .rng import RunStreams, sample_arrivals, sample_channels
+from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
 from .scheduling import (SCHEDULER_KINDS, ScheduleMemory, mws_step,
                          qcsma_step, rqcsma_step, ub_step)
 
@@ -27,6 +28,11 @@ DECISION_MODES = ("contention", "sampler")
 # Tail-slope threshold (packets/slot) below which a run counts as stable.
 STABLE_SLOPE = 5e-3
 MAX_TRAJECTORY_POINTS = 10_000
+# A shorter trajectory is left unclassified (stable and slope are None).
+MIN_CLASSIFIED_SAMPLES = 100
+# Slots per block of pre-drawn channels, arrivals and elections; bounds a
+# run's draw buffers at any horizon.
+BLOCK_SLOTS = 1024
 
 
 @dataclass
@@ -56,8 +62,8 @@ class RunResult:
     slots: tuple
     totals: tuple
     final_total: int
-    stable: bool
-    slope: float
+    stable: Optional[bool]  # None: fewer than MIN_CLASSIFIED_SAMPLES samples
+    slope: Optional[float]
     memory_entries: int = 0
     distinct_channels: int = 0
     records: list = field(default_factory=list)
@@ -71,8 +77,9 @@ def classify_stability(slots, totals, total_rate=None, horizon=None):
     backlog is below half of the total packets offered over the horizon
     (vacuous for zero offered load).
     """
-    if len(slots) < 100:
-        raise ValueError("trajectory must have at least 100 samples")
+    if len(slots) < MIN_CLASSIFIED_SAMPLES:
+        raise ValueError(f"trajectory must have at least "
+                         f"{MIN_CLASSIFIED_SAMPLES} samples")
     if horizon is None:
         horizon = slots[-1] + 1
     xs = np.asarray(slots, dtype=float)
@@ -91,11 +98,19 @@ def classify_stability(slots, totals, total_rate=None, horizon=None):
 
 
 def run_once(config: ExperimentConfig, seed) -> RunResult:
-    """Execute one seeded run of `horizon` slots."""
+    """Execute one seeded run of `horizon` slots.
+
+    Channels, arrivals and the CSMA backoff elections do not depend on the
+    queues, so they are drawn BLOCK_SLOTS slots at a time; the per-slot loop
+    keeps only the queue-dependent work. Each of those streams serves a fixed
+    number of uniforms per slot (see rng), which makes a block draw equal to
+    the same slots drawn one by one.
+    """
     params = config.params
     horizon = config.horizon
     scheduler = config.scheduler
     contention_mode = config.decision_mode == "contention"
+    elected = contention_mode and scheduler in ("rqcsma", "qcsma")
     trace = config.trace
 
     streams = RunStreams(seed)
@@ -112,54 +127,59 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     records = []
     acc = 0
 
-    for t in range(horizon):
-        channel = sample_channels(params, ch_stream)
-        seen_channels.add(channel)
+    for start in range(0, horizon, BLOCK_SLOTS):
+        n_slots = min(BLOCK_SLOTS, horizon - start)
+        channel_block = sample_channel_matrix(params, ch_stream, n_slots)
+        channels = list(map(tuple, channel_block.tolist()))
+        arrivals_block = list(map(tuple, sample_arrival_matrix(
+            params, ar_stream, n_slots).tolist()))
+        seen_channels.update(channels)
+        if elected:
+            decisions = elect_block(
+                params, ct_stream, n_slots,
+                channel_block if scheduler == "rqcsma" else None)
+        else:
+            decisions = repeat(IDLE, n_slots)
 
-        if scheduler == "mws":
-            x = mws_step(queues, channel, params)
-            decision = x
-        elif scheduler == "rqcsma":
-            if contention_mode:
-                decision = run_contention(channel, queues, params,
-                                          ct_stream).decision
-            else:
-                decision = sampled_decision(params, channel, sc_stream)
-            x, _ = rqcsma_step(queues, channel, memory, decision, params,
-                               sc_stream)
-        elif scheduler == "qcsma":
-            if contention_mode:
-                decision = blind_decision(params, ct_stream)
-            else:
-                decision = sampled_decision_blind(params, sc_stream)
-            x = qcsma_step(queues, channel, prev_x, decision, params,
-                           sc_stream)
-            prev_x = x
-        else:  # ub
-            x = ub_step(queues, channel, params, ct_stream)
-            decision = x
+        for t, channel, arrivals, decision in zip(
+                range(start, start + n_slots), channels, arrivals_block,
+                decisions):
+            if scheduler == "mws":
+                x = decision = mws_step(queues, channel, params)
+            elif scheduler == "rqcsma":
+                if not contention_mode:
+                    decision = sampled_decision(params, channel, sc_stream)
+                x, _ = rqcsma_step(queues, channel, memory, decision, params,
+                                   sc_stream)
+            elif scheduler == "qcsma":
+                if not contention_mode:
+                    decision = sampled_decision_blind(params, sc_stream)
+                x = prev_x = qcsma_step(queues, channel, prev_x, decision,
+                                        params, sc_stream)
+            else:  # ub: only backlogged nodes contend, so it stays per slot
+                x = decision = ub_step(queues, channel, params, ct_stream)
 
-        # Data plane: a blind scheduler holding an OFF relay wastes the slot.
-        x_data = x
-        if x is not IDLE and x != 0 and not channel[x]:
-            x_data = IDLE
+            # Data plane: a blind scheduler holding an OFF relay wastes the
+            # slot.
+            x_data = x
+            if x is not IDLE and x != 0 and not channel[x]:
+                x_data = IDLE
 
-        arrivals = sample_arrivals(params, ar_stream)
-        queues, tag = apply_slot(queues, x_data, channel, arrivals)
-        acc += queues.total()
+            queues, tag = apply_slot(queues, x_data, channel, arrivals)
+            acc += queues.total()
 
-        if t % stride == 0 or t == horizon - 1:
-            slots.append(t)
-            totals.append(queues.total())
-        if trace:
-            records.append(SlotRecord(t, channel, decision, x, tag,
-                                      arrivals, queues))
+            if t % stride == 0 or t == horizon - 1:
+                slots.append(t)
+                totals.append(queues.total())
+            if trace:
+                records.append(SlotRecord(t, channel, decision, x, tag,
+                                          arrivals, queues))
 
     total_rate = sum(params.lam)
-    if len(slots) >= 100:
+    if len(slots) >= MIN_CLASSIFIED_SAMPLES:
         stable, slope = classify_stability(slots, totals, total_rate, horizon)
     else:
-        stable, slope = True, 0.0
+        stable, slope = None, None  # too short a trajectory to classify
 
     return RunResult(
         seed=seed,
@@ -196,6 +216,12 @@ def aggregate_ci(values, level=0.90):
     return mean, t * sd / math.sqrt(n)
 
 
+def stable_fraction(results):
+    """Share of the classified runs that are stable; None if none is."""
+    verdicts = [r.stable for r in results if r.stable is not None]
+    return sum(verdicts) / len(verdicts) if verdicts else None
+
+
 def _sweep_point(args):
     config, lam, index = args
     params = replace(config.params, lam=tuple(lam))
@@ -208,7 +234,7 @@ def _sweep_point(args):
         "lam": tuple(lam),
         "mean_q_avg": float(np.mean(q_avgs)),
         "mean_final": float(np.mean(finals)),
-        "stable_fraction": sum(r.stable for r in results) / len(results),
+        "stable_fraction": stable_fraction(results),
     }
     if len(results) >= 2:
         row["ci_half"] = aggregate_ci(q_avgs)[1]

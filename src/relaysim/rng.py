@@ -2,10 +2,26 @@
 
 Each run owns four independent substreams (channels, arrivals, contention,
 scheduler), keyed by (seed, stream id) through numpy's SeedSequence spawn
-keys on top of the counter-based Philox generator. Every consumer draws a
-fixed number of uniforms per slot in a fixed order, so a run is a pure
-function of (seed, params) and block sampling is bit-identical to repeated
-single-slot sampling.
+keys on top of the counter-based Philox generator. Draws are positional, so
+a run is a pure function of (seed, params). Per slot of a run with N relays
+(N+1 nodes), the streams serve:
+
+- channels: N+1 uniforms, one per node;
+- arrivals: (N+1)*a_max uniforms, a_max per node;
+- contention: N+1 uniforms for rqcsma and qcsma in contention mode and for
+  ub (one backoff per node, drawn whether or not the node contends); none
+  for mws or in sampler mode;
+- scheduler: a data-dependent count. In sampler mode it serves one decision
+  uniform per slot. An activation coin is drawn only when the decision is
+  non-idle, compatible with the held schedule, and its activation
+  probability p is positive.
+
+The first three counts are fixed per slot, so run_once draws channels,
+arrivals and the rqcsma and qcsma contention elections in blocks of slots
+(sample_channel_matrix, sample_arrival_matrix, contention.elect_block), and
+each block is bit-identical to the same slots drawn one at a time. The ub
+election, whose contenders are the backlogged nodes, and the scheduler
+stream depend on the queues and are drawn slot by slot.
 """
 
 from __future__ import annotations
@@ -28,6 +44,8 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id):
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         if stream_id not in STREAM_IDS:
             raise ValueError(f"unknown stream id {stream_id!r}")
         self.seed = seed

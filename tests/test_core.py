@@ -184,3 +184,7 @@ class TestParamsValidation:
     def test_beta_positive(self):
         with pytest.raises(ValueError):
             params_for((0.5, 0.5), beta=0.0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            params_for((0.5, 0.5), seed=-1)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,7 @@ from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
                       classify_stability, parse_config, run_once, run_seeds,
                       sweep_grid)
 from relaysim.harness import (box_grid, config_to_dict, gamma_grid,
-                              header_lines)
+                              header_lines, stable_fraction)
 
 
 def make_config(lam=(0.0, 0.0), rho=(0.4, 0.7), **kw):
@@ -106,6 +107,24 @@ class TestRunOnce:
         cfg = make_config(lam=(0.59, 0.19), horizon=10_000, n_seeds=1)
         r = run_once(cfg, 0)
         assert r.stable
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run_once(make_config(horizon=10, n_seeds=1), -1)
+
+    def test_short_horizon_left_unclassified(self):
+        cfg = make_config(lam=(0.9, 0.5), horizon=50, n_seeds=3)
+        results = run_seeds(cfg)
+        assert all(r.stable is None and r.slope is None for r in results)
+        assert stable_fraction(results) is None
+        row, = sweep_grid(cfg, [(0.9, 0.5)])
+        assert row["stable_fraction"] is None
+
+    def test_classification_starts_at_100_samples(self):
+        cfg = make_config(lam=(0.3, 0.2), horizon=100, n_seeds=1)
+        r = run_once(cfg, 0)
+        assert r.stable is not None and r.slope is not None
+        assert run_once(replace(cfg, horizon=99), 0).stable is None
 
     def test_trace_records_consistent(self):
         cfg = make_config(lam=(0.4, 0.3), horizon=300, n_seeds=1, trace=True)
