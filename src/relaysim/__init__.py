@@ -4,8 +4,7 @@ networks with ON-OFF channels."""
 from .analysis import (RateRegion2, StationaryDistribution, TransitionMatrix,
                        build_dtmc, build_joint_channel_chain,
                        check_detailed_balance, expected_service_rates,
-                       kolmogorov_mismatch, product_form, region_boundary,
-                       region_contains, solve_stationary)
+                       kolmogorov_mismatch, product_form, solve_stationary)
 from .contention import (ContentionOutcome, decision_distribution,
                          run_contention)
 from .core import (IDLE, ChannelStateVector, NetworkParams, QueueState,
@@ -15,22 +14,20 @@ from .harness import (ExperimentConfig, RunResult, aggregate_ci,
                       boundary_oracle, classify_stability, parse_config,
                       run_once, run_seeds, sweep_grid)
 from .rng import RngStream, RunStreams, sample_arrivals, sample_channels
-from .scheduling import (ScheduleMemory, activation_probability,
-                         compute_weights, differential_backlog, mws_step,
-                         qcsma_step, rqcsma_step, ub_step, weight_f)
+from .scheduling import (activation_probability, differential_backlog,
+                         mws_step, qcsma_step, rqcsma_step, ub_step)
 
 __all__ = [
     "IDLE", "ChannelStateVector", "NetworkParams", "QueueState", "Schedule",
     "SlotRecord", "apply_slot", "feasible_schedules", "relay_target",
     "RngStream", "RunStreams", "sample_arrivals", "sample_channels",
-    "ScheduleMemory", "activation_probability", "compute_weights",
-    "differential_backlog", "mws_step", "qcsma_step", "rqcsma_step",
-    "ub_step", "weight_f",
+    "activation_probability", "differential_backlog", "mws_step",
+    "qcsma_step", "rqcsma_step", "ub_step",
     "ContentionOutcome", "decision_distribution", "run_contention",
     "RateRegion2", "StationaryDistribution", "TransitionMatrix",
     "build_dtmc", "build_joint_channel_chain", "check_detailed_balance",
     "expected_service_rates", "kolmogorov_mismatch", "product_form",
-    "region_boundary", "region_contains", "solve_stationary",
+    "solve_stationary",
     "ExperimentConfig", "RunResult", "aggregate_ci", "boundary_oracle",
     "classify_stability", "parse_config", "run_once", "run_seeds",
     "sweep_grid",

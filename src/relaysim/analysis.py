@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDLE
+from .core import IDLE, transmitters
 
 _ROW_TOL = 1e-12
 
@@ -62,7 +62,7 @@ class StationaryDistribution:
 
 def chain_states(channel):
     """State space of the per-realization chain: Idle, node 0, ON relays."""
-    return (IDLE, 0) + tuple(i for i in range(1, len(channel)) if channel[i])
+    return (IDLE,) + transmitters(channel)
 
 
 def build_dtmc(channel, activation_probs: dict, alpha: dict) -> TransitionMatrix:
@@ -247,14 +247,6 @@ class RateRegion2:
                 hi = mid
         scale = 0.5 * (lo + hi)
         return scale * ux, scale * uy
-
-
-def region_contains(region: RateRegion2, lambda0, lambda1) -> bool:
-    return region.contains(lambda0, lambda1)
-
-
-def region_boundary(region: RateRegion2, angle_deg, tol=1e-6):
-    return region.boundary(angle_deg, tol)
 
 
 def expected_service_rates(q0, q1, rho0, rho1):

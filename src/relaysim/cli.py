@@ -48,9 +48,9 @@ def _build_config(args) -> ExperimentConfig:
     config = replace(config, params=params)
     if args.scheduler:
         config = replace(config, scheduler=args.scheduler)
-    if args.horizon:
+    if args.horizon is not None:
         config = replace(config, horizon=args.horizon)
-    if args.seeds:
+    if args.seeds is not None:
         config = replace(config, n_seeds=args.seeds)
     if getattr(args, "decision_mode", None):
         config = replace(config, decision_mode=args.decision_mode)

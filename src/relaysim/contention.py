@@ -7,7 +7,8 @@ matching the regime the chain analysis covers). Contenders then draw an
 integer backoff uniformly on [N+1, N+1+W]; the unique earliest INTENT wins
 and forms the single-member decision schedule, and any tie at the minimum is
 a collision that yields an idle decision. Node 0 always contends (it can
-always reach a relay); relay i contends only when its channel is ON.
+always reach a relay); relay i contends only when its channel is ON
+(core.transmitters).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDLE, NetworkParams, QueueState, validate_channel
+from .core import (IDLE, NetworkParams, QueueState, transmitters,
+                   validate_channel)
 
 
 @dataclass
@@ -25,55 +27,19 @@ class ContentionOutcome:
 
     inferred_channels: tuple  # per node, what it believes the channel vector is
     decision: object
-    winner_minislot: object  # mini-slot index of the winning INTENT, or None
     collision: bool
 
 
-def contenders_for(params: NetworkParams, channel):
-    """Nodes that send an INTENT under this channel realization."""
-    return [0] + [i for i in range(1, params.n_nodes) if channel[i]]
+def elect(row, contenders, values):
+    """One backoff election over a row of uniforms.
 
-
-def run_contention(true_channels, queues: QueueState, params: NetworkParams,
-                   rng) -> ContentionOutcome:
-    """Emulate one contention slot and produce the decision schedule."""
-    validate_channel(params, true_channels)
-    n = params.n_nodes
-    w = params.contention_window
-    row = rng.uniform_row(n)
-
-    draws = {}
-    for i in contenders_for(params, true_channels):
-        draws[i] = n + min(int(row[i] * (w + 1)), w)
-
-    best = min(draws.values())
-    winners = [i for i, d in draws.items() if d == best]
-    collision = len(winners) > 1
-    decision = IDLE if collision else winners[0]
-
-    inferred = tuple(tuple(true_channels) for _ in range(n))
-    return ContentionOutcome(
-        inferred_channels=inferred,
-        decision=decision,
-        winner_minislot=None if collision else best,
-        collision=collision,
-    )
-
-
-def blind_decision(params: NetworkParams, rng):
-    """Backoff election with no channel knowledge: every node contends.
-
-    Used by the channel-blind CSMA baseline, where a node may be elected
-    with its channel OFF.
+    Contender i draws the backoff min(int(row[i] * values), values - 1), one
+    of `values` equally likely integers. The unique minimum wins; a tie at
+    the minimum, or no contender at all, gives Idle.
     """
-    n = params.n_nodes
-    w = params.contention_window
-    row = rng.uniform_row(n)
-    best = w + 1
-    winner = IDLE
-    collided = False
-    for i in range(n):
-        draw = min(int(row[i] * (w + 1)), w)
+    winner, best, collided = IDLE, values, False
+    for i in contenders:
+        draw = min(int(row[i] * values), values - 1)
         if draw < best:
             winner, best, collided = i, draw, False
         elif draw == best:
@@ -81,14 +47,48 @@ def blind_decision(params: NetworkParams, rng):
     return IDLE if collided else winner
 
 
+def _decide(params: NetworkParams, channel, rng):
+    """The contention slot's election: the transmitters of `channel` contend
+    over W+1 backoff values, one uniform per node drawn either way."""
+    return elect(rng.uniform_row(params.n_nodes), transmitters(channel),
+                 params.contention_window + 1)
+
+
+def run_contention(true_channels, queues: QueueState, params: NetworkParams,
+                   rng) -> ContentionOutcome:
+    """Emulate one contention slot and produce the decision schedule.
+
+    The election reads no backlog, so `queues` is unused; it stays part of
+    the public signature.
+    """
+    validate_channel(params, true_channels)
+    decision = _decide(params, true_channels, rng)
+    # Node 0 always contends, so an Idle decision is always a collision.
+    return ContentionOutcome(
+        inferred_channels=(tuple(true_channels),) * params.n_nodes,
+        decision=decision,
+        collision=decision is IDLE,
+    )
+
+
+def blind_decision(params: NetworkParams, rng):
+    """run_contention's election under an all-ON channel: every node contends.
+
+    Used by the channel-blind CSMA baseline, where a node may be elected
+    with its channel OFF.
+    """
+    return _decide(params, params.all_on, rng)
+
+
 def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
     """n_slots successive backoff elections, drawn as one block.
 
     With `channels`, an (n_slots, N+1) array of 0/1 channel states, slot t is
     run_contention's election under row t: node 0 and the ON relays contend.
-    Without it every node contends, as in blind_decision. Each slot takes one
-    row of N+1 uniforms, so the decisions, and the stream position left
-    behind, equal those of n_slots successive single-slot calls.
+    Without it every node contends, as under an all-ON channel
+    (blind_decision). Each slot takes one row of N+1 uniforms, so the
+    decisions, and the stream position left behind, equal those of n_slots
+    successive single-slot calls.
     """
     n = params.n_nodes
     w = params.contention_window
@@ -104,19 +104,13 @@ def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
 
 
 def sampled_decision(params: NetworkParams, channel, rng):
-    """Analysis-mode decision: uniform over feasible nodes plus Idle."""
-    options = sorted(
-        (i for i in range(1, params.n_nodes) if channel[i]))
-    options = [IDLE, 0] + options
+    """Analysis-mode decision: uniform over Idle and the feasible nodes.
+
+    The channel-blind baseline passes params.all_on as the channel.
+    """
+    options = (IDLE,) + transmitters(channel)
     k = min(int(rng.uniform() * len(options)), len(options) - 1)
     return options[k]
-
-
-def sampled_decision_blind(params: NetworkParams, rng):
-    """Analysis-mode decision with no channel knowledge: all nodes plus Idle."""
-    n = params.n_nodes
-    k = min(int(rng.uniform() * (n + 1)), n)
-    return IDLE if k == 0 else k - 1
 
 
 def decision_distribution(params: NetworkParams, channel) -> dict:
@@ -129,7 +123,7 @@ def decision_distribution(params: NetworkParams, channel) -> dict:
     (Idle) outcome. Strictly positive on every feasible node.
     """
     validate_channel(params, channel)
-    nodes = contenders_for(params, channel)
+    nodes = transmitters(channel)
     m = len(nodes)
     v = params.contention_window + 1
     p_win = sum((1.0 / v) * ((v - 1 - d) / v) ** (m - 1) for d in range(v))

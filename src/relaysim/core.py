@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 # The idle schedule: nobody holds the data slot.
@@ -27,11 +29,13 @@ class NetworkParams:
 
     rho[i] is the probability node i's channel to the destination is ON in a
     slot (iid across slots and nodes). lam[i] is node i's mean arrival rate in
-    packets/slot, bounded by a_max per slot. beta is the constant of the
-    queue-weight function log(1 + beta*x). activation_gain scales the linear
-    weight fed to the logistic activation probability of the CSMA schedulers
-    (see scheduling.activation_weight). contention_window is the number W of
-    extra backoff mini-slots after the N+1 channel-broadcast mini-slots.
+    packets/slot, bounded by a_max per slot. beta, the constant of the
+    queue-weight function log(1 + beta*x), is validated and recorded in
+    output headers but affects no scheduler: mws is an argmax, which no
+    monotone weight function changes. activation_gain scales the action
+    backlog fed to the logistic activation probability of the CSMA
+    schedulers. contention_window is the number W of extra backoff mini-slots
+    after the N+1 channel-broadcast mini-slots.
     seed is the non-negative base seed that run_seeds counts up from.
     """
 
@@ -73,6 +77,12 @@ class NetworkParams:
     def n_nodes(self):
         return self.n_relays + 1
 
+    @cached_property
+    def all_on(self) -> tuple:
+        """Every channel ON: the channel-blind baselines are the channel-aware
+        rules evaluated under it, so every node is feasible."""
+        return (1,) * self.n_nodes
+
 
 class QueueState(NamedTuple):
     """All backlogs at a slot boundary: Q_0, (Q_i), (Q_0i). Unit packets."""
@@ -97,16 +107,20 @@ def validate_channel(params: NetworkParams, channel) -> None:
         raise ValueError(f"channel vector must have length {params.n_nodes}")
 
 
-def feasible_schedules(params: NetworkParams, channel) -> set:
-    """All schedules usable in this slot: Idle, node 0, and ON relays.
+def transmitters(channel) -> tuple:
+    """The feasibility rule: node 0 plus the ON relays, in index order.
 
     Node 0 is always feasible: with its channel OFF it still transmits to a
-    relay over an always-ON link.
+    relay over an always-ON link. These are also the nodes that contend in a
+    backoff election and the non-idle states of a per-realization chain.
     """
+    return (0, *compress(range(1, len(channel)), channel[1:]))
+
+
+def feasible_schedules(params: NetworkParams, channel) -> set:
+    """All schedules usable in this slot: Idle plus transmitters(channel)."""
     validate_channel(params, channel)
-    feasible = {IDLE, 0}
-    feasible.update(i for i in range(1, params.n_nodes) if channel[i])
-    return feasible
+    return {IDLE, *transmitters(channel)}
 
 
 def relay_target(queues: QueueState) -> int:

@@ -17,11 +17,11 @@ from typing import Optional
 import numpy as np
 from scipy import stats as _st
 
-from .contention import elect_block, sampled_decision, sampled_decision_blind
-from .core import (IDLE, NetworkParams, QueueState, SlotRecord, apply_slot)
+from .contention import elect_block, sampled_decision
+from .core import IDLE, NetworkParams, QueueState, SlotRecord, apply_slot
 from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
-from .scheduling import (SCHEDULER_KINDS, ScheduleMemory, mws_step,
-                         qcsma_step, rqcsma_step, ub_step)
+from .scheduling import (SCHEDULER_KINDS, mws_step, qcsma_step, rqcsma_step,
+                         ub_step)
 
 DECISION_MODES = ("contention", "sampler")
 
@@ -118,7 +118,7 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     ct_stream, sc_stream = streams.contention, streams.scheduler
 
     queues = QueueState.empty(params.n_relays)
-    memory = ScheduleMemory()
+    memory = {}  # rqcsma: channel realization -> schedule of its last slot
     prev_x = IDLE
     seen_channels = set()
 
@@ -149,11 +149,12 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
             elif scheduler == "rqcsma":
                 if not contention_mode:
                     decision = sampled_decision(params, channel, sc_stream)
-                x, _ = rqcsma_step(queues, channel, memory, decision, params,
-                                   sc_stream)
+                x = rqcsma_step(queues, channel, memory, decision, params,
+                                sc_stream)
             elif scheduler == "qcsma":
                 if not contention_mode:
-                    decision = sampled_decision_blind(params, sc_stream)
+                    decision = sampled_decision(params, params.all_on,
+                                                sc_stream)
                 x = prev_x = qcsma_step(queues, channel, prev_x, decision,
                                         params, sc_stream)
             else:  # ub: only backlogged nodes contend, so it stays per slot
@@ -196,10 +197,16 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
 
 
 def run_seeds(config: ExperimentConfig, seeds=None):
-    """Run the configured number of seeds (base seed + k by default)."""
+    """Run the configured number of seeds (base seed + k by default).
+
+    With config.trace only the first run keeps its slot records (a trace is
+    one sample path; every seed's would cost seeds x horizon records).
+    """
     if seeds is None:
         seeds = [config.params.seed + k for k in range(config.n_seeds)]
-    return [run_once(config, s) for s in seeds]
+    untraced = replace(config, trace=False)
+    return [run_once(config if k == 0 else untraced, s)
+            for k, s in enumerate(seeds)]
 
 
 def aggregate_ci(values, level=0.90):
@@ -299,11 +306,8 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
     """
     theta = math.radians(angle_deg)
     ux, uy = max(math.cos(theta), 0.0), max(math.sin(theta), 0.0)
-    base = config.params
-    params = NetworkParams(
-        n_relays=1, rho=(rho0, rho1), lam=(0.0, 0.0), a_max=base.a_max,
-        beta=base.beta, contention_window=base.contention_window,
-        seed=base.seed, activation_gain=base.activation_gain)
+    params = replace(config.params, n_relays=1, rho=(rho0, rho1),
+                     lam=(0.0, 0.0))
     config = replace(config, params=params,
                      horizon=max(config.horizon, 50_000))
 

@@ -99,7 +99,7 @@ class RunStreams:
         self.scheduler = RngStream(seed, "scheduler")
 
 
-def sample_channels(params: NetworkParams, rng: RngStream, t=None) -> tuple:
+def sample_channels(params: NetworkParams, rng: RngStream) -> tuple:
     """One channel realization: bit i is 1 with probability rho[i], iid."""
     row = rng.uniform_row(params.n_nodes)
     rho = params.rho
@@ -112,7 +112,7 @@ def sample_channel_matrix(params: NetworkParams, rng: RngStream, n):
     return (u < np.asarray(params.rho)).astype(np.uint8)
 
 
-def sample_arrivals(params: NetworkParams, rng: RngStream, t=None) -> tuple:
+def sample_arrivals(params: NetworkParams, rng: RngStream) -> tuple:
     """Per-node arrival counts: binomial(a_max, lam/a_max), mean lam.
 
     a_max = 1 reduces to Bernoulli(lam). Bounded support and finite second

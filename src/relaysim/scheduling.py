@@ -1,38 +1,35 @@
 """The four schedulers behind one per-slot interface.
 
-MWS picks the maximum-weight feasible node each slot from full state. The
-CSMA schedulers turn a randomly elected decision schedule into a transmission
-schedule with carrier-sense memory: the channel-aware variant keeps one
-memory cell per channel realization (only the chain of the realized vector
-evolves in a slot), the baseline keys on the previous slot's schedule and is
-deliberately blind to channel state. Uniform backoff ignores queue lengths
-entirely except for staying silent when empty.
+MWS picks the feasible node with the largest action backlog each slot from
+full state. The CSMA schedulers turn a randomly elected decision schedule
+into a transmission schedule with carrier-sense memory: the channel-aware
+variant keeps one memory cell per channel realization (only the chain of the
+realized vector evolves in a slot); the baseline keys on the previous slot's
+schedule and is the same rule evaluated under an all-ON channel, so it is
+blind to channel state. Uniform backoff ignores queue lengths entirely
+except for staying silent when empty.
 
-Weights follow the two-term source rule (own backlog when its channel is ON,
-differential relayed backlog when OFF) and the larger-queue rule at relays.
-The weight *reported* for a node is log(1 + beta*x) of its backlog argument;
-the *activation* probability a CSMA node uses to seize the slot is the
-logistic of a linear weight (activation_gain * backlog argument), and a node
-whose backlog argument is zero never newly activates. Linear activation
-satisfies the same admissibility conditions as the log form but gives
-exponential activation odds, which the near-boundary share allocations
-require; the log form's polynomial odds cannot realize them (see README).
+Action backlogs follow the two-term source rule (own backlog when its
+channel is ON, differential relayed backlog when OFF) and the larger-queue
+rule at relays. The *activation* probability a CSMA node uses to seize the
+slot is the logistic of a linear weight (activation_gain * action backlog),
+and a node whose action backlog is zero never newly activates. Linear
+activation gives exponential activation odds, which the near-boundary share
+allocations require; a log(1 + beta*x) weight's polynomial odds cannot
+realize them (see README). No scheduler reads NetworkParams.beta: mws is an
+argmax, which a monotone weight function such as log(1 + beta*x) leaves
+unchanged.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import IDLE, NetworkParams, QueueState, feasible_schedules
+from .contention import elect
+from .core import (IDLE, NetworkParams, QueueState, transmitters,
+                   validate_channel)
 
 SCHEDULER_KINDS = ("mws", "rqcsma", "qcsma", "ub")
-
-
-def weight_f(x, beta):
-    """Queue-weight function log(1 + beta*x): non-decreasing, 0 at 0."""
-    if x < 0:
-        raise ValueError("backlog must be non-negative")
-    return math.log1p(beta * x)
 
 
 def differential_backlog(queues: QueueState) -> int:
@@ -52,143 +49,79 @@ def action_backlog(queues: QueueState, channel, node) -> int:
     return max(queues.q[j], queues.q0i[j])
 
 
-def compute_weights(queues: QueueState, channel, params: NetworkParams):
-    """Per-node weights: f of the action backlog, zeroed for OFF relays."""
-    beta = params.beta
-    w = [weight_f(action_backlog(queues, channel, 0), beta)]
-    for i in range(1, params.n_nodes):
-        w.append(weight_f(action_backlog(queues, channel, i), beta)
-                 if channel[i] else 0.0)
-    return tuple(w)
-
-
 def activation_probability(omega):
     """Logistic of the weight: p/(1-p) = exp(omega) exactly."""
     return 1.0 / (1.0 + math.exp(-omega))
 
 
-def activation_weight(queues: QueueState, channel, params: NetworkParams,
-                      node) -> float:
-    """Linear activation weight of the action `node` performs under `channel`."""
-    return params.activation_gain * action_backlog(queues, channel, node)
-
-
-class ScheduleMemory:
-    """Map from channel realization to the schedule of its most recent slot.
-
-    Lazy: realizations never seen read as Idle, so the table grows only with
-    the number of distinct realized channel vectors.
-    """
-
-    def __init__(self):
-        self.table = {}
-
-    def get(self, channel):
-        return self.table.get(channel, IDLE)
-
-    def set(self, channel, schedule):
-        self.table[channel] = schedule
-
-    def __len__(self):
-        return len(self.table)
-
-
-def argmax_schedule(weights, candidates):
-    """Lowest-index candidate with the strictly largest positive weight."""
-    best, best_w = IDLE, 0.0
-    for i in sorted(candidates):
-        if weights[i] > best_w:
-            best, best_w = i, weights[i]
+def mws_step(queues: QueueState, channel, params: NetworkParams):
+    """Max-weight scheduling: the feasible node with the largest action
+    backlog, lowest index on ties, Idle when every backlog is zero."""
+    validate_channel(params, channel)
+    best, best_backlog = IDLE, 0
+    for i in transmitters(channel):
+        backlog = action_backlog(queues, channel, i)
+        if backlog > best_backlog:
+            best, best_backlog = i, backlog
     return best
 
 
-def mws_step(queues: QueueState, channel, params: NetworkParams):
-    """Max-weight scheduling: argmax over feasible nodes, Idle on all-zero."""
-    weights = compute_weights(queues, channel, params)
-    candidates = [s for s in feasible_schedules(params, channel)
-                  if s is not IDLE]
-    return argmax_schedule(weights, candidates)
-
-
-def _csma_resolve(decision, held, p_active, rng):
-    """Shared carrier-sense branch logic of both CSMA schedulers.
+def _csma_step(queues: QueueState, channel, held, decision,
+               params: NetworkParams, rng):
+    """Carrier-sense transition shared by both CSMA schedulers.
 
     `held` is the schedule being maintained (per-realization memory for the
-    channel-aware variant, previous transmission for the baseline). A node in
-    the decision schedule defers to a different held node, re-draws its
-    activation coin otherwise; with an Idle decision everyone keeps state.
+    channel-aware variant, previous transmission for the baseline). With an
+    Idle decision everyone keeps state, and a decision node defers to a
+    different held node. Otherwise the decision node draws its activation
+    coin, unless its action backlog is zero: a dummy packet cannot seize the
+    slot.
     """
-    if decision is IDLE:
+    if decision is IDLE or (held is not IDLE and held != decision):
         return held
-    if held is not IDLE and held != decision:
-        return held
-    if p_active > 0.0 and rng.uniform() < p_active:
+    backlog = action_backlog(queues, channel, decision)
+    if backlog > 0 and rng.uniform() < activation_probability(
+            params.activation_gain * backlog):
         return decision
     return IDLE
 
 
-def rqcsma_step(queues: QueueState, channel, memory: ScheduleMemory,
-                decision, params: NetworkParams, rng):
-    """One channel-aware CSMA step; returns (schedule, memory).
+def rqcsma_step(queues: QueueState, channel, memory: dict, decision,
+                params: NetworkParams, rng):
+    """One channel-aware CSMA step; returns the schedule.
 
-    Only the memory cell of the realized channel vector is touched. The
-    activation probability is the logistic of the decision node's activation
-    weight; a node with zero backlog argument never activates (a dummy
-    packet cannot seize the slot).
+    `memory` maps each channel realization to the schedule of its most
+    recent slot; a realization never seen reads as Idle (IDLE is None). Only
+    the cell of the realized channel vector is touched.
     """
     if decision is not IDLE and decision != 0 and not channel[decision]:
         raise ValueError(f"infeasible decision {decision} under {channel}")
-    held = memory.get(channel)
-    p = 0.0
-    if decision is not IDLE and (held is IDLE or held == decision):
-        if action_backlog(queues, channel, decision) > 0:
-            p = activation_probability(
-                activation_weight(queues, channel, params, decision))
-    x = _csma_resolve(decision, held, p, rng)
-    memory.set(channel, x)
-    return x, memory
-
-
-def _blind_backlog(queues: QueueState, node) -> int:
-    if node == 0:
-        return queues.q0
-    j = node - 1
-    return max(queues.q[j], queues.q0i[j])
+    x = _csma_step(queues, channel, memory.get(channel), decision, params,
+                   rng)
+    memory[channel] = x
+    return x
 
 
 def qcsma_step(queues: QueueState, channel, previous_x, decision,
                params: NetworkParams, rng):
     """One channel-blind CSMA step, keyed on the previous transmission.
 
-    Weights ignore channel state entirely; the returned schedule may name a
+    rqcsma's rule under an all-ON channel: the returned schedule may name a
     relay whose channel is OFF, in which case the data slot is wasted (the
-    caller serves Idle). Node 0 follows the relaying scheme as usual.
+    caller serves Idle).
     """
-    p = 0.0
-    if decision is not IDLE and (previous_x is IDLE or previous_x == decision):
-        backlog = _blind_backlog(queues, decision)
-        if backlog > 0:
-            p = activation_probability(params.activation_gain * backlog)
-    return _csma_resolve(decision, previous_x, p, rng)
+    return _csma_step(queues, params.all_on, previous_x, decision, params,
+                      rng)
 
 
 def ub_step(queues: QueueState, channel, params: NetworkParams, rng):
-    """Uniform backoff: backlogged nodes draw from {1..W}, unique minimum wins.
+    """Uniform backoff: backlogged nodes draw from W values, unique minimum
+    wins, ties collide into an idle slot.
 
-    Ties collide into an idle slot. No channel state is used, so a winning
-    relay with an OFF channel wastes the slot (caller serves Idle).
+    Backlogs are read under an all-ON channel, so a winning relay with an
+    OFF channel wastes the slot (caller serves Idle).
     """
-    w = params.contention_window
-    row = rng.uniform_row(params.n_nodes)
-    winner = IDLE
-    best = w + 1
-    collided = False
-    for i in range(params.n_nodes):
-        if _blind_backlog(queues, i) == 0:
-            continue
-        draw = min(int(row[i] * w) + 1, w)
-        if draw < best:
-            winner, best, collided = i, draw, False
-        elif draw == best:
-            collided = True
-    return IDLE if collided else winner
+    n, on = params.n_nodes, params.all_on
+    row = rng.uniform_row(n)
+    backlogged = [i for i in range(n) if action_backlog(queues, on, i) > 0]
+    return elect(row, backlogged, params.contention_window)

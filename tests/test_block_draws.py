@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from relaysim import (IDLE, ExperimentConfig, NetworkParams, QueueState,
                       SlotRecord, apply_slot, run_once)
 from relaysim.contention import (blind_decision, elect_block, run_contention,
-                                 sampled_decision, sampled_decision_blind)
+                                 sampled_decision)
 from relaysim.harness import (BLOCK_SLOTS, MAX_TRAJECTORY_POINTS,
                               MIN_CLASSIFIED_SAMPLES, RunResult,
                               classify_stability)
 from relaysim.rng import (RngStream, RunStreams, sample_arrivals,
                           sample_channel_matrix, sample_channels)
-from relaysim.scheduling import (ScheduleMemory, mws_step, qcsma_step,
-                                 rqcsma_step, ub_step)
+from relaysim.scheduling import mws_step, qcsma_step, rqcsma_step, ub_step
+
+from legacy_rules import sampled_decision_blind
 
 SCHEDULERS = ("mws", "rqcsma", "qcsma", "ub")
 MODES = ("contention", "sampler")
@@ -40,7 +41,7 @@ def reference_run_once(config, seed):
 
     streams = RunStreams(seed)
     queues = QueueState.empty(params.n_relays)
-    memory = ScheduleMemory()
+    memory = {}
     prev_x = IDLE
     seen_channels = set()
     stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
@@ -59,8 +60,8 @@ def reference_run_once(config, seed):
             else:
                 decision = sampled_decision(params, channel,
                                             streams.scheduler)
-            x, _ = rqcsma_step(queues, channel, memory, decision, params,
-                               streams.scheduler)
+            x = rqcsma_step(queues, channel, memory, decision, params,
+                            streams.scheduler)
         elif scheduler == "qcsma":
             if contention_mode:
                 decision = blind_decision(params, streams.contention)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import relaysim
+from relaysim import harness
 from relaysim.cli import main
 
 
@@ -215,3 +216,29 @@ def test_short_horizon_reports_unclassified(tmp_path):
           "0.0", "--horizon", "50", "--seeds", "2", "--out", str(csv)])
     row = read_lines(csv)[-1].split(",")
     assert row[0] == "0.9" and row[3] == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag,message", [
+    ("--horizon", "horizon must be >= 1"), ("--seeds", "n_seeds must be >= 1")])
+def test_zero_horizon_or_seeds_rejected(tmp_path, command, flag, message):
+    out = tmp_path / "out"
+    assert (exit_message([command, flag, "0", "--out", str(out)])
+            == f"relaysim {command}: {message}")
+    assert not out.exists()
+
+
+def test_run_traces_only_the_first_seed(tmp_path, monkeypatch):
+    calls = []
+    run_once = harness.run_once
+
+    def spy(config, seed):
+        calls.append((seed, config.trace))
+        return run_once(config, seed)
+
+    monkeypatch.setattr(harness, "run_once", spy)
+    trace = tmp_path / "trace.jsonl"
+    main(["run", "--horizon", "200", "--seeds", "3", "--seed", "4",
+          "--trace", str(trace), "--out", str(tmp_path / "summary.json")])
+    assert calls == [(4, True), (5, False), (6, False)]
+    assert len(read_lines(trace)) == 201

@@ -4,7 +4,8 @@ import pytest
 
 from relaysim import (IDLE, NetworkParams, QueueState, decision_distribution,
                       feasible_schedules, run_contention)
-from relaysim.contention import contenders_for, sampled_decision
+from relaysim.contention import sampled_decision
+from relaysim.core import transmitters
 from relaysim.rng import RngStream
 
 
@@ -31,14 +32,12 @@ class TestRunContention:
         out = run_contention((1, 1), QueueState.empty(1), p,
                              FakeStream([0.5, 0.5]))
         assert out.collision and out.decision is IDLE
-        assert out.winner_minislot is None
 
     def test_unique_minimum_wins(self):
         p = params_for((0.5, 0.5), contention_window=4)
         out = run_contention((1, 1), QueueState.empty(1), p,
                              FakeStream([0.05, 0.7]))
         assert out.decision == 0 and not out.collision
-        assert out.winner_minislot == 2  # N+1 + draw 0
 
     def test_single_contender_cannot_collide(self):
         p = params_for((1.0, 0.0, 0.0), contention_window=4)
@@ -57,8 +56,6 @@ class TestRunContention:
             out = run_contention(channel, QueueState.empty(2), p, ct_rng)
             assert all(v == channel for v in out.inferred_channels)
             assert out.decision in feasible_schedules(p, channel)
-            if out.winner_minislot is not None:
-                assert p.n_nodes <= out.winner_minislot <= p.n_nodes + p.contention_window
 
 
 def enumerate_distribution(m, window):
@@ -105,7 +102,7 @@ class TestDecisionDistribution:
             channel = tuple((code >> i) & 1 for i in range(4))
             dist = decision_distribution(p, channel)
             assert sum(dist.values()) == pytest.approx(1.0)
-            for node in contenders_for(p, channel):
+            for node in transmitters(channel):
                 assert dist[node] > 0.0
 
     def test_monte_carlo_agreement(self):

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +41,18 @@ class TestFeasibleSchedules:
         assert IDLE in feas and 0 in feas
         for i in range(1, len(bits)):
             assert (i in feas) == bool(bits[i])
+
+
+def test_all_on_follows_the_relay_count():
+    # the cached all-ON channel belongs to one instance: replace() that
+    # changes the relay count must not inherit it
+    p = params_for((0.5, 0.5))
+    assert p.all_on == (1, 1)
+    q = replace(p, n_relays=3, rho=(0.5,) * 4, lam=(0.0,) * 4)
+    assert q.all_on == (1, 1, 1, 1)
+    # the cache is no dataclass field: equality and hashing ignore it
+    assert pickle.loads(pickle.dumps(q)) == q == replace(q)
+    assert hash(q) == hash(replace(q))
 
 
 class TestRelayTarget:

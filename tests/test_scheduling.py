@@ -1,14 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from relaysim import (IDLE, NetworkParams, QueueState, ScheduleMemory,
-                      activation_probability, compute_weights,
+from relaysim import (IDLE, NetworkParams, QueueState, activation_probability,
                       differential_backlog, mws_step, qcsma_step, rqcsma_step,
-                      ub_step, weight_f)
-from relaysim.scheduling import action_backlog, argmax_schedule
+                      ub_step)
+from relaysim.scheduling import action_backlog
 
 
 def params_for(rho, lam=None, **kw):
@@ -31,23 +30,6 @@ class FakeStream:
         return [self.values.pop(0) for _ in range(k)]
 
 
-class TestWeightF:
-    def test_zero(self):
-        assert weight_f(0, 0.1) == 0.0
-
-    def test_log_two(self):
-        assert weight_f(10, 0.1) == pytest.approx(math.log(2), abs=1e-12)
-
-    @given(a=st.floats(0, 1e6), b=st.floats(0, 1e6))
-    def test_monotone(self, a, b):
-        lo, hi = sorted((a, b))
-        assert weight_f(lo, 0.1) <= weight_f(hi, 0.1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            weight_f(-1, 0.1)
-
-
 class TestDifferentialBacklog:
     def test_basic(self):
         assert differential_backlog(QueueState(10, (0, 0), (3, 7))) == 7
@@ -59,28 +41,25 @@ class TestDifferentialBacklog:
         assert differential_backlog(QueueState(5, (0, 0), (5, 9))) == 0
 
 
-class TestComputeWeights:
+class TestActionBacklog:
     def test_both_on(self):
-        p = params_for((0.5, 0.5))
         q = QueueState(10, (0,), (10,))
-        w = compute_weights(q, (1, 1), p)
-        assert w == pytest.approx((math.log(2), math.log(2)))
+        assert [action_backlog(q, (1, 1), i) for i in (0, 1)] == [10, 10]
 
     def test_source_off_uses_differential(self):
-        p = params_for((0.5, 0.5))
         q = QueueState(10, (0,), (3,))
-        w = compute_weights(q, (0, 1), p)
-        assert w[0] == pytest.approx(math.log(1.7))
+        assert action_backlog(q, (0, 1), 0) == 7
 
     def test_all_empty(self):
-        p = params_for((0.5, 0.5))
-        w = compute_weights(QueueState.empty(1), (1, 1), p)
-        assert w == (0.0, 0.0)
+        q = QueueState.empty(1)
+        assert [action_backlog(q, (1, 1), i) for i in (0, 1)] == [0, 0]
 
-    def test_off_relay_weight_is_zero(self):
+    def test_off_relay_never_scheduled(self):
+        # the relay has backlog but its channel is OFF: mws must idle
         p = params_for((0.5, 0.5))
         q = QueueState(0, (9,), (9,))
-        assert compute_weights(q, (1, 0), p)[1] == 0.0
+        assert action_backlog(q, (1, 0), 1) == 9
+        assert mws_step(q, (1, 0), p) is IDLE
 
 
 class TestActivationProbability:
@@ -115,16 +94,10 @@ class TestMws:
         q = QueueState(50, (50,), (0,))
         assert mws_step(q, (0, 1), p) == 0
 
-    @given(data=st.data())
-    @settings(max_examples=150)
-    def test_argmax_invariant_under_scaling(self, data):
-        n = data.draw(st.integers(1, 3))
-        weights = tuple(data.draw(
-            st.floats(0, 5).filter(lambda v: v == 0 or v > 1e-9))
-            for _ in range(n + 1))
-        cands = list(range(n + 1))
-        assert (argmax_schedule(weights, cands)
-                == argmax_schedule(tuple(2 * w for w in weights), cands))
+    def test_wrong_length_channel_rejected(self):
+        p = params_for((0.5, 0.5))
+        with pytest.raises(ValueError):
+            mws_step(QueueState(5, (5,), (0,)), (1, 1, 1), p)
 
 
 class TestRqCsma:
@@ -133,61 +106,56 @@ class TestRqCsma:
 
     def test_activation_coin(self):
         q = QueueState(10, (0,), (0,))
-        memory = ScheduleMemory()
-        x, _ = rqcsma_step(q, (1, 1), memory, 0, self.params, FakeStream([0.0]))
-        assert x == 0 and memory.get((1, 1)) == 0
-        memory = ScheduleMemory()
-        x, _ = rqcsma_step(q, (1, 1), memory, 0, self.params,
-                           FakeStream([0.999999]))
-        assert x is IDLE and memory.get((1, 1)) is IDLE
+        memory = {}
+        x = rqcsma_step(q, (1, 1), memory, 0, self.params, FakeStream([0.0]))
+        assert x == 0 and memory == {(1, 1): 0}
+        memory = {}
+        x = rqcsma_step(q, (1, 1), memory, 0, self.params,
+                        FakeStream([0.999999]))
+        assert x is IDLE and memory == {(1, 1): IDLE}
 
     def test_carrier_sense_silences_decision_node(self):
         # the holder under this realization keeps transmitting
         q = QueueState(10, (5,), (0,))
-        memory = ScheduleMemory()
-        memory.set((0, 1), 1)
-        x, _ = rqcsma_step(q, (0, 1), memory, 0, self.params, FakeStream([]))
+        x = rqcsma_step(q, (0, 1), {(0, 1): 1}, 0, self.params,
+                        FakeStream([]))
         assert x == 1
 
     def test_idle_decision_maintains_state(self):
         q = QueueState(10, (5,), (0,))
-        memory = ScheduleMemory()
-        memory.set((1, 1), 1)
-        x, _ = rqcsma_step(q, (1, 1), memory, IDLE, self.params, FakeStream([]))
+        x = rqcsma_step(q, (1, 1), {(1, 1): 1}, IDLE, self.params,
+                        FakeStream([]))
         assert x == 1
-        x, _ = rqcsma_step(QueueState.empty(1), (0, 0), ScheduleMemory(),
-                           IDLE, self.params, FakeStream([]))
+        x = rqcsma_step(QueueState.empty(1), (0, 0), {}, IDLE, self.params,
+                        FakeStream([]))
         assert x is IDLE
 
     def test_empty_backlog_never_activates(self):
-        memory = ScheduleMemory()
-        x, _ = rqcsma_step(QueueState.empty(1), (1, 1), memory, 0,
-                           self.params, FakeStream([]))
+        x = rqcsma_step(QueueState.empty(1), (1, 1), {}, 0, self.params,
+                        FakeStream([]))
         assert x is IDLE
         # source OFF with zero differential backlog: forwarding is useless
         q = QueueState(3, (0,), (5,))
-        x, _ = rqcsma_step(q, (0, 1), ScheduleMemory(), 0, self.params,
-                           FakeStream([]))
+        x = rqcsma_step(q, (0, 1), {}, 0, self.params, FakeStream([]))
         assert x is IDLE
 
     def test_only_realized_cell_evolves(self):
         q = QueueState(10, (5,), (0,))
-        memory = ScheduleMemory()
-        memory.set((0, 1), 1)
-        memory.set((1, 0), 0)
+        memory = {(0, 1): 1, (1, 0): 0}
         rqcsma_step(q, (1, 1), memory, 0, self.params, FakeStream([0.0]))
-        assert memory.get((0, 1)) == 1
-        assert memory.get((1, 0)) == 0
-        assert memory.get((1, 1)) == 0
-        assert len(memory) == 3
+        assert memory == {(0, 1): 1, (1, 0): 0, (1, 1): 0}
 
     def test_infeasible_decision_rejected(self):
         with pytest.raises(ValueError):
-            rqcsma_step(QueueState.empty(1), (1, 0), ScheduleMemory(), 1,
-                        self.params, FakeStream([]))
+            rqcsma_step(QueueState.empty(1), (1, 0), {}, 1, self.params,
+                        FakeStream([]))
 
     def test_unseen_realization_reads_idle(self):
-        assert ScheduleMemory().get((0, 1)) is IDLE
+        # another realization's holder does not silence this one's election
+        q = QueueState(10, (5,), (0,))
+        memory = {(0, 1): 1}
+        x = rqcsma_step(q, (1, 1), memory, 0, self.params, FakeStream([0.0]))
+        assert x == 0 and memory[(0, 1)] == 1
 
 
 class TestQCsma:
@@ -204,6 +172,13 @@ class TestQCsma:
         q = QueueState(10, (10,), (0,))
         x = qcsma_step(q, (1, 1), 1, 0, self.params, FakeStream([]))
         assert x == 1
+
+    def test_source_backlog_ignores_its_channel(self):
+        # blind: node 0 weighs its own queue even when its channel is OFF
+        # and its differential backlog is zero
+        q = QueueState(5, (0,), (9,))
+        x = qcsma_step(q, (0, 1), IDLE, 0, self.params, FakeStream([0.0]))
+        assert x == 0
 
     def test_idle_roundtrip(self):
         x = qcsma_step(QueueState.empty(1), (1, 1), IDLE, IDLE, self.params,
@@ -236,19 +211,3 @@ class TestUb:
         x = ub_step(q, (1, 0), self.params, FakeStream([0.9, 0.1]))
         assert x == 1
 
-
-@given(data=st.data())
-@settings(max_examples=100)
-def test_action_backlog_matches_weight_argument(data):
-    # the weight of a node is f of exactly its action backlog (OFF relays 0)
-    p = params_for((0.5, 0.5, 0.5))
-    q = QueueState(data.draw(st.integers(0, 30)),
-                   tuple(data.draw(st.integers(0, 30)) for _ in range(2)),
-                   tuple(data.draw(st.integers(0, 30)) for _ in range(2)))
-    channel = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
-    w = compute_weights(q, channel, p)
-    assert w[0] == weight_f(action_backlog(q, channel, 0), p.beta)
-    for i in (1, 2):
-        expect = (weight_f(action_backlog(q, channel, i), p.beta)
-                  if channel[i] else 0.0)
-        assert w[i] == expect
