@@ -169,6 +169,9 @@ def cmd_dtmc_check(args):
     if args.seed is not None and args.seed < 0:
         raise SystemExit(f"relaysim dtmc-check: seed must be non-negative, "
                          f"got {args.seed}")
+    if args.trials < 1:
+        raise SystemExit(f"relaysim dtmc-check: trials must be >= 1, "
+                         f"got {args.trials}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst_gap = 0.0
     worst_balance = 0.0

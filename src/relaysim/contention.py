@@ -80,6 +80,30 @@ def blind_decision(params: NetworkParams, rng):
     return _decide(params, params.all_on, rng)
 
 
+def elect_rows(u, values, contends=None):
+    """elect over every row of an array of uniforms (last axis: nodes).
+
+    Returns the winner per row as an int64 array, -1 for Idle. `contends`,
+    a boolean array of u's shape, names the contenders; without it every
+    node contends.
+    """
+    draws = np.minimum((u * values).astype(np.int64), values - 1)
+    if contends is not None:
+        draws = np.where(contends, draws, values)  # above every real draw
+    unique = (draws == draws.min(axis=-1, keepdims=True)).sum(axis=-1) == 1
+    return np.where(unique, draws.argmin(axis=-1), -1)
+
+
+def contenders(channels):
+    """Who contends under an array of channel rows: node 0 and the ON
+    relays (core.transmitters); None, meaning everyone, without channels."""
+    if channels is None:
+        return None
+    contends = np.asarray(channels) != 0
+    contends[..., 0] = True
+    return contends
+
+
 def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
     """n_slots successive backoff elections, drawn as one block.
 
@@ -90,16 +114,9 @@ def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
     decisions, and the stream position left behind, equal those of n_slots
     successive single-slot calls.
     """
-    n = params.n_nodes
-    w = params.contention_window
-    u = rng.uniform_matrix(n_slots, n)
-    draws = np.minimum((u * (w + 1)).astype(np.int64), w)
-    if channels is not None:
-        contends = np.asarray(channels) != 0
-        contends[:, 0] = True
-        draws = np.where(contends, draws, w + 1)  # above every real draw
-    unique = (draws == draws.min(axis=1, keepdims=True)).sum(axis=1) == 1
-    winners = np.where(unique, draws.argmin(axis=1), -1).tolist()
+    u = rng.uniform_matrix(n_slots, params.n_nodes)
+    winners = elect_rows(u, params.contention_window + 1,
+                         contenders(channels)).tolist()
     return [IDLE if i < 0 else i for i in winners]
 
 

@@ -10,7 +10,6 @@ packets vs. packets relayed on behalf of node 0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -206,4 +205,21 @@ class SlotRecord:
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), separators=(",", ":"))
+        """as_dict() as compact JSON (json.dumps with separators (",", ":")),
+        formatted directly: every field is an int, None or a plain tag."""
+        q = self.queues_after
+        return (f'{{"t":{self.t},"channel":[{_ints(self.channel)}],'
+                f'"decision":{_json_int(self.decision)},'
+                f'"transmission":{_json_int(self.transmission)},'
+                f'"served_queue":"{self.served_queue}",'
+                f'"arrivals":[{_ints(self.arrivals)}],'
+                f'"queues_after":{{"q0":{q.q0},"q":[{_ints(q.q)}],'
+                f'"q0i":[{_ints(q.q0i)}]}}}}')
+
+
+def _ints(values):
+    return ",".join(map(str, values))
+
+
+def _json_int(value):
+    return "null" if value is None else str(value)

@@ -4,6 +4,12 @@ A run is a pure function of (config, seed): channels, arrivals, contention
 draws, and scheduler coins come from four keyed substreams, so reruns and
 parallel sweep workers produce byte-identical results. Stability of a run is
 classified from the tail of the total-backlog trajectory.
+
+run_once is the reference engine, used by run_seeds, boundary_oracle and
+traced runs. sweep_grid runs all (grid point x seed) runs of a worker's
+batch as lanes of one lanes.run_lanes call, which advances them in numpy
+lockstep and gives each the RunResult run_once gives, so sweep rows do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -229,11 +235,8 @@ def stable_fraction(results):
     return sum(verdicts) / len(verdicts) if verdicts else None
 
 
-def _sweep_point(args):
-    config, lam, index = args
-    params = replace(config.params, lam=tuple(lam))
-    point_config = replace(config, params=params, trace=False)
-    results = run_seeds(point_config)
+def _sweep_row(index, lam, results):
+    """One sweep row from a point's per-seed results, in seed order."""
     q_avgs = [r.q_avg for r in results]
     finals = [r.final_total for r in results]
     row = {
@@ -250,14 +253,29 @@ def _sweep_point(args):
     return row
 
 
+def _sweep_batch(args):
+    """Rows of a batch of (index, lam) points, all seeds of all points run
+    as lanes of one run_lanes call."""
+    from .lanes import run_lanes  # lanes builds on this module
+
+    config, points = args
+    seeds = [config.params.seed + k for k in range(config.n_seeds)]
+    results = run_lanes(replace(config, trace=False),
+                        [(lam, s) for _, lam in points for s in seeds])
+    return [_sweep_row(index, lam, [next(results) for _ in seeds])
+            for index, lam in points]
+
+
 def sweep_grid(config: ExperimentConfig, grid, workers=1):
     """Independent seeded runs per grid point (a list of full rate vectors).
 
-    Points are independent units of parallelism; rows come back in grid
-    order whatever the worker count. A point that fails validation is
-    reported with an "error" field instead of aborting the sweep.
+    The valid points are split into `workers` contiguous batches, and each
+    batch runs its points' seeds as lanes of one run_lanes call, so each
+    run equals run_once and rows come back in grid order, identical for
+    every worker count. A point that fails validation is reported with an
+    "error" field instead of aborting the sweep.
     """
-    tasks = []
+    points = []
     rows = [None] * len(grid)
     for idx, lam in enumerate(grid):
         try:
@@ -265,15 +283,18 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
         except ValueError as exc:
             rows[idx] = {"index": idx, "lam": tuple(lam), "error": str(exc)}
             continue
-        tasks.append((config, tuple(lam), idx))
+        points.append((idx, tuple(lam)))
 
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(_sweep_point, tasks, chunksize=4):
-                rows[row["index"]] = row
+    n_batches = max(1, min(workers, len(points)))
+    bounds = [len(points) * k // n_batches for k in range(n_batches + 1)]
+    tasks = [(config, points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if n_batches > 1:
+        with ProcessPoolExecutor(max_workers=n_batches) as pool:
+            batches = list(pool.map(_sweep_batch, tasks))
     else:
-        for task in tasks:
-            row = _sweep_point(task)
+        batches = map(_sweep_batch, tasks)
+    for batch in batches:
+        for row in batch:
             rows[row["index"]] = row
     return rows
 

@@ -19,9 +19,11 @@ a run is a pure function of (seed, params). Per slot of a run with N relays
 The first three counts are fixed per slot, so run_once draws channels,
 arrivals and the rqcsma and qcsma contention elections in blocks of slots
 (sample_channel_matrix, sample_arrival_matrix, contention.elect_block), and
-each block is bit-identical to the same slots drawn one at a time. The ub
-election, whose contenders are the backlogged nodes, and the scheduler
-stream depend on the queues and are drawn slot by slot.
+each block is bit-identical to the same slots drawn one at a time. In
+run_once the ub election, whose contenders are the backlogged nodes, and
+the scheduler stream depend on the queues and are drawn slot by slot; the
+lane engine (lanes.run_lanes) draws the ub uniforms in blocks as well and
+reads each lane's scheduler stream from a buffer, in the same order.
 """
 
 from __future__ import annotations
@@ -84,8 +86,19 @@ class RngStream:
         return row
 
     def uniform_matrix(self, n, k):
-        """Next n*k values as an (n, k) array; equals n uniform_row(k) calls."""
-        flat = np.array(self.uniform_row(n * k))
+        """Next n*k values as an (n, k) array; equals n uniform_row(k) calls.
+
+        The buffered values are served first and the rest come straight
+        from the generator, which continues where the buffer's last draw
+        ended; no list is built.
+        """
+        need = n * k
+        head = self._buf[self._cursor:self._cursor + need]
+        self._cursor += len(head)
+        self.position += need
+        flat = self._gen.random(need - len(head))
+        if head:
+            flat = np.concatenate((head, flat))
         return flat.reshape(n, k)
 
 

@@ -71,6 +71,28 @@ def test_dtmc_check_passes(tmp_path):
     assert report["max_detailed_balance_violation"] < 1e-10
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_dtmc_check_without_trials_rejected(tmp_path, trials):
+    out = tmp_path / "dtmc.json"
+    with pytest.raises(SystemExit) as info:
+        main(["dtmc-check", "--trials", trials, "--out", str(out)])
+    assert info.value.code == (f"relaysim dtmc-check: trials must be >= 1, "
+                               f"got {trials}")
+    assert not out.exists()
+
+
+def test_dtmc_check_without_trials_exit_status(tmp_path):
+    src = Path(relaysim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim.cli", "dtmc-check", "--trials", "0"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "relaysim dtmc-check: trials must be >= 1, got 0"]
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n_relays = 1\nrho = 0.4, 0.7\nlambda = 0.2, 0.1\n"

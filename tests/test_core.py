@@ -1,3 +1,4 @@
+import json
 import pickle
 from dataclasses import replace
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim import (IDLE, NetworkParams, QueueState, apply_slot,
-                      feasible_schedules, relay_target)
+from relaysim import (IDLE, NetworkParams, QueueState, SlotRecord,
+                      apply_slot, feasible_schedules, relay_target)
 
 
 def params_for(rho, lam=None, **kw):
@@ -145,6 +146,52 @@ def test_apply_slot_properties(queues, data):
             assert out.q[i - 1] == expected_own
         if transmission != i and not (moved and tag.endswith(f"-{i}")):
             assert out.q0i[i - 1] == queues.q0i[i - 1]
+
+
+def served_tags(n_relays):
+    """Every tag apply_slot can return in a network with n_relays relays."""
+    relays = range(1, n_relays + 1)
+    return (["none", "source-direct"]
+            + [f"source-relayed-to-{i}" for i in relays]
+            + [f"relay-{i}-own" for i in relays]
+            + [f"relay-{i}-forwarding" for i in relays])
+
+
+@st.composite
+def slot_records(draw):
+    n_relays = draw(st.sampled_from([1, 3, 8]))
+    n = n_relays + 1
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    counts = st.lists(st.integers(0, 10**6), min_size=n_relays,
+                      max_size=n_relays).map(tuple)
+    schedule = st.one_of(st.none(), st.integers(0, n_relays))
+    return SlotRecord(
+        t=draw(st.integers(0, 10**9)),
+        channel=draw(bits),
+        decision=draw(schedule),
+        transmission=draw(schedule),
+        served_queue=draw(st.sampled_from(served_tags(n_relays))),
+        arrivals=draw(st.lists(st.integers(0, 3), min_size=n,
+                               max_size=n).map(tuple)),
+        queues_after=QueueState(draw(st.integers(0, 10**6)), draw(counts),
+                                draw(counts)))
+
+
+@given(record=slot_records())
+@settings(max_examples=300)
+def test_to_json_equals_json_dumps(record):
+    assert record.to_json() == json.dumps(record.as_dict(),
+                                          separators=(",", ":"))
+
+
+def test_to_json_covers_idle_and_every_tag():
+    queues = QueueState(4, (0, 2, 7), (1, 0, 3))
+    for tag in served_tags(3):
+        for decision, transmission in ((IDLE, IDLE), (0, IDLE), (2, 3)):
+            record = SlotRecord(5, (0, 1, 1, 0), decision, transmission, tag,
+                                (1, 0, 0, 1), queues)
+            assert record.to_json() == json.dumps(record.as_dict(),
+                                                  separators=(",", ":"))
 
 
 def test_conservation_over_random_run():

@@ -116,3 +116,24 @@ class TestStreams:
         a.uniform_row(16_380)  # chunk is 16384
         b.uniform_row(16_380)
         assert a.uniform_row(10) == b.uniform_row(10)
+
+    def test_interleaved_calls_equal_one_flat_draw(self):
+        """Single values, rows and matrices, interleaved so that reads cross
+        the 16384-value chunk in every order, serve one flat Philox stream."""
+        rng = RngStream(9, "scheduler")
+        ss = np.random.SeedSequence(entropy=9, spawn_key=(4,))
+        flat = np.random.Generator(np.random.Philox(ss)).random(60_000)
+        calls = [("uniform", 1), ("row", 16_380), ("matrix", (3, 5)),
+                 ("uniform", 1), ("row", 7), ("matrix", (1, 16_384)),
+                 ("uniform", 1), ("row", 16_383), ("row", 4),
+                 ("matrix", (0, 3)), ("matrix", (2, 2)), ("uniform", 1)]
+        served = []
+        for kind, size in calls:
+            if kind == "uniform":
+                served.append(rng.uniform())
+            elif kind == "row":
+                served.extend(rng.uniform_row(size))
+            else:
+                served.extend(rng.uniform_matrix(*size).ravel().tolist())
+            assert rng.position == len(served)
+        assert served == flat[:len(served)].tolist()
