@@ -7,9 +7,9 @@ classified from the tail of the total-backlog trajectory.
 
 run_once is the reference engine, used by run_seeds, boundary_oracle and
 traced runs. sweep_grid runs all (grid point x seed) runs of a worker's
-batch as lanes of one lanes.run_lanes call, which advances them in numpy
-lockstep and gives each the RunResult run_once gives, so sweep rows do not
-depend on the worker count.
+batch as lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per
+call), which advance them in numpy lockstep and give each the RunResult
+run_once gives, so sweep rows do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,10 @@ MIN_CLASSIFIED_SAMPLES = 100
 # Slots per block of pre-drawn channels, arrivals and elections; bounds a
 # run's draw buffers at any horizon.
 BLOCK_SLOTS = 1024
+# Most lanes per run_lanes call of a sweep batch; bounds a batch's arrays
+# (about 0.1 MB per lane at horizon 1e4), while the per-lane cost has
+# leveled off well below it.
+MAX_BATCH_LANES = 256
 
 
 @dataclass
@@ -254,14 +258,18 @@ def _sweep_row(index, lam, results):
 
 
 def _sweep_batch(args):
-    """Rows of a batch of (index, lam) points, all seeds of all points run
-    as lanes of one run_lanes call."""
+    """Rows of a batch of (index, lam) points. All seeds of all points run
+    as lanes of run_lanes calls of at most MAX_BATCH_LANES lanes each."""
     from .lanes import run_lanes  # lanes builds on this module
 
     config, points = args
+    config = replace(config, trace=False)
     seeds = [config.params.seed + k for k in range(config.n_seeds)]
-    results = run_lanes(replace(config, trace=False),
-                        [(lam, s) for _, lam in points for s in seeds])
+    lanes = [(lam, s) for _, lam in points for s in seeds]
+    n_calls = max(1, -(-len(lanes) // MAX_BATCH_LANES))
+    bounds = [len(lanes) * k // n_calls for k in range(n_calls + 1)]
+    results = chain.from_iterable(run_lanes(config, lanes[a:b])
+                                  for a, b in zip(bounds, bounds[1:]))
     return [_sweep_row(index, lam, [next(results) for _ in seeds])
             for index, lam in points]
 
@@ -270,7 +278,7 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     """Independent seeded runs per grid point (a list of full rate vectors).
 
     The valid points are split into `workers` contiguous batches, and each
-    batch runs its points' seeds as lanes of one run_lanes call, so each
+    batch runs its points' seeds as lanes of run_lanes calls, so each
     run equals run_once and rows come back in grid order, identical for
     every worker count. A point that fails validation is reported with an
     "error" field instead of aborting the sweep.

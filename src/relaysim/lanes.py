@@ -21,9 +21,10 @@ Per-lane state:
 - activation probabilities: a table of activation_probability(gain * b)
   over integer backlogs b, so every coin compares against the value
   run_once computes.
-- rqcsma memory: a dense (lanes, 2^(N+1)) table indexed by the channel
-  bitmask. Above MAX_TABLE_RELAYS relays that table is too large, and
-  run_lanes runs rqcsma lanes through run_once.
+- channel realizations: a dense (lanes, 2^(N+1)) table indexed by the
+  channel bitmask marks the ones a lane has seen and, for rqcsma, holds
+  its memory. Above MAX_TABLE_RELAYS relays that table is too large, and
+  run_lanes runs every lane through run_once.
 - trajectory: one int64 array of shape (samples, lanes).
 """
 
@@ -69,7 +70,7 @@ def run_lanes(config: ExperimentConfig, lanes):
     """
     lanes = [(tuple(lam), seed) for lam, seed in lanes]
     params = config.params
-    if config.scheduler == "rqcsma" and params.n_relays > MAX_TABLE_RELAYS:
+    if params.n_relays > MAX_TABLE_RELAYS:
         for lam, seed in lanes:
             yield run_once(replace(config, trace=False,
                                    params=replace(params, lam=lam)), seed)
@@ -141,14 +142,11 @@ def _simulate(config, lane_params, seeds):
     alt_at = (q_row[:, None] + [zero, zero, *range(n, zero)]).ravel()
     is_source = np.tile([False, True] + [False] * relays, n_lanes)
 
-    tabled = n <= MAX_TABLE_RELAYS + 1
-    if tabled:
-        cells = 1 << n
-        seen = np.zeros((n_lanes, cells), dtype=bool)
-        weights = 1 << np.arange(n, dtype=np.int64)
+    cells = 1 << n
+    seen = np.zeros((n_lanes, cells), dtype=bool)
+    weights = 1 << np.arange(n, dtype=np.int64)
+    if scheduler == "rqcsma":
         memory = np.full(n_lanes * cells, -1, dtype=np.int64)
-    else:
-        seen_sets = [set() for _ in range(n_lanes)]
 
     if coins:
         buf = np.zeros((n_lanes, _COIN_BUFFER))
@@ -172,19 +170,15 @@ def _simulate(config, lane_params, seeds):
 
     for start in range(0, horizon, BLOCK_SLOTS):
         n_slots = min(BLOCK_SLOTS, horizon - start)
-        ch_lanes = [sample_channel_matrix(params, s.channels, n_slots)
-                    for s in streams]
-        channels = np.stack(ch_lanes, axis=1)  # (slots, lanes, nodes)
+        channels = np.stack([sample_channel_matrix(params, s.channels, n_slots)
+                             for s in streams], axis=1)  # (slots, lanes, N+1)
         arrivals = np.stack([sample_arrival_matrix(p, s.arrivals, n_slots)
                              for p, s in zip(lane_params, streams)], axis=1)
         c0_off = channels[:, :, 0] == 0
-        if tabled:
-            codes = channels @ weights
-            seen[lane, codes] = True
+        codes = channels @ weights
+        seen[lane, codes] = True
+        if scheduler == "rqcsma":
             mem_idx = codes + lane * cells
-        else:
-            for k, rows in enumerate(ch_lanes):
-                seen_sets[k].update(map(bytes, rows))
         if elected or scheduler == "ub":
             uniforms = np.stack([s.contention.uniform_matrix(n_slots, n)
                                  for s in streams], axis=1)
@@ -302,11 +296,7 @@ def _simulate(config, lane_params, seeds):
         traj[filled:filled + len(in_block)] = block[in_block - start]
         filled += len(in_block)
 
-    if tabled:
-        distinct = seen.sum(axis=1).tolist()
-    else:
-        distinct = [len(s) for s in seen_sets]
-    return traj, acc, distinct
+    return traj, acc, seen.sum(axis=1).tolist()
 
 
 def _refill(buf, cursor, streams):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from relaysim import ExperimentConfig, NetworkParams, run_once, run_seeds
+from relaysim import harness
 from relaysim.harness import (BLOCK_SLOTS, aggregate_ci, stable_fraction,
                               sweep_grid)
 from relaysim.lanes import MAX_TABLE_RELAYS, activation_table, run_lanes
@@ -69,8 +70,7 @@ def test_lanes_equal_run_once(scheduler, mode, n_relays, a_max):
     ("rqcsma", "contention"), ("rqcsma", "sampler"), ("mws", "contention"),
     ("qcsma", "sampler"), ("ub", "contention")])
 def test_many_relays(scheduler, mode):
-    """Above MAX_TABLE_RELAYS relays rqcsma lanes run through run_once; the
-    other schedulers count distinct channels without the dense table."""
+    """Above MAX_TABLE_RELAYS relays every lane runs through run_once."""
     n_relays = MAX_TABLE_RELAYS + 1
     n = n_relays + 1
     params = NetworkParams(n_relays=n_relays, rho=RHO_CYCLE[:n],
@@ -144,3 +144,23 @@ def test_sweep_rows_equal_per_point_runs(scheduler, n_seeds):
     assert "error" in expected[4]
     for workers in (1, 2, 3):
         assert sweep_grid(config, grid, workers=workers) == expected, workers
+
+
+@pytest.mark.parametrize("max_lanes", [1, 4, 5])
+def test_sweep_batch_split_into_calls(monkeypatch, max_lanes):
+    """A batch longer than MAX_BATCH_LANES runs as several run_lanes calls,
+    split inside a point's seeds where the cap falls there."""
+    monkeypatch.setattr(harness, "MAX_BATCH_LANES", max_lanes)
+    params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0),
+                           seed=3)
+    config = ExperimentConfig(params=params, scheduler="rqcsma",
+                              horizon=300, n_seeds=3)
+    grid = [(0.1, 0.2), (0.3, 0.1), (1.5, 0.0), (0.5, 0.3), (0.2, 0.6)]
+    assert sweep_grid(config, grid) == per_point_rows(config, grid)
+
+
+def test_sweep_of_invalid_points_only():
+    params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0))
+    config = ExperimentConfig(params=params, horizon=50, n_seeds=2)
+    rows = sweep_grid(config, [(1.5, 0.0), (0.0, -1.0)])
+    assert [("error" in row) for row in rows] == [True, True]
