@@ -101,27 +101,16 @@ def build_dtmc(channel, activation_probs: dict, alpha: dict) -> TransitionMatrix
     return TransitionMatrix(states, mat)
 
 
-def solve_stationary(tm: TransitionMatrix, max_iter=1_000_000) -> StationaryDistribution:
-    """Fixed point of pi P = pi: direct solve for small chains, else power
-    iteration. Verified to residual 1e-10."""
+def solve_stationary(tm: TransitionMatrix) -> StationaryDistribution:
+    """Fixed point of pi P = pi by a direct linear solve (the chains here
+    have at most a few dozen states). Verified to residual 1e-10."""
     p = tm.probs
     n = len(tm.states)
-    if n <= 64:
-        a = p.T - np.eye(n)
-        a[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-    else:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(max_iter):
-            nxt = pi @ p
-            if np.abs(nxt - pi).max() < 1e-14:
-                pi = nxt
-                break
-            pi = nxt
-        else:
-            raise RuntimeError("stationary distribution did not converge")
+    a = p.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     if np.abs(pi @ p - pi).max() > 1e-10:
@@ -198,6 +187,17 @@ def kolmogorov_mismatch(tm: TransitionMatrix, cycle=JOINT_CYCLE) -> float:
     return cycle_product(tm, cycle) - cycle_product(tm, tuple(reversed(cycle)))
 
 
+def ray_direction(angle_deg):
+    """Unit direction of the ray at angle_deg from the lambda0 axis; the ray
+    must point into the first quadrant, up to rounding."""
+    theta = math.radians(angle_deg)
+    ux, uy = math.cos(theta), math.sin(theta)
+    if ux < -1e-12 or uy < -1e-12:
+        raise ValueError(f"angle must lie in [0, 90] degrees, "
+                         f"got {angle_deg:g}")
+    return max(ux, 0.0), max(uy, 0.0)
+
+
 @dataclass(frozen=True)
 class RateRegion2:
     """Closed-form achievable rate region of the one-relay network.
@@ -233,11 +233,7 @@ class RateRegion2:
 
     def boundary(self, angle_deg, tol=1e-6):
         """Boundary point on the ray at angle_deg from the lambda0 axis."""
-        theta = math.radians(angle_deg)
-        ux, uy = math.cos(theta), math.sin(theta)
-        if ux < -1e-12 or uy < -1e-12:
-            raise ValueError("direction must point into the first quadrant")
-        ux, uy = max(ux, 0.0), max(uy, 0.0)
+        ux, uy = ray_direction(angle_deg)
         lo, hi = 0.0, 3.0
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -11,10 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .core import IDLE, NetworkParams
-from .harness import (ExperimentConfig, aggregate_ci, boundary_oracle,
-                      box_grid, config_to_dict, gamma_grid, header_lines,
-                      parse_config, run_seeds, stable_fraction, sweep_grid)
+from .core import IDLE
+from .harness import (DECISION_MODES, ExperimentConfig, aggregate_ci,
+                      boundary_oracle, box_grid, config_to_dict, gamma_grid,
+                      header_lines, parse_config, run_seeds, stable_fraction,
+                      sweep_grid)
+from .scheduling import SCHEDULER_KINDS
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -27,11 +30,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _build_config(args) -> ExperimentConfig:
-    if args.config:
-        config = parse_config(Path(args.config).read_text())
-    else:
-        params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0))
-        config = ExperimentConfig(params=params)
+    config = parse_config(Path(args.config).read_text() if args.config
+                          else "")
     params = config.params
     if args.rho is not None:
         values = tuple(float(v) for v in args.rho.split(","))
@@ -59,20 +59,29 @@ def _build_config(args) -> ExperimentConfig:
 
 def _add_common(parser):
     parser.add_argument("--config", "-c", help="flat key=value config file")
-    parser.add_argument("--scheduler",
-                        choices=("mws", "rqcsma", "qcsma", "ub"))
+    parser.add_argument("--scheduler", choices=SCHEDULER_KINDS)
     parser.add_argument("--rho", help="comma-separated ON probabilities")
     parser.add_argument("--lambda", dest="lam",
                         help="comma-separated arrival rates")
     parser.add_argument("--horizon", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--seeds", type=int, help="number of sample paths")
-    parser.add_argument("--decision-mode", choices=("contention", "sampler"))
+    parser.add_argument("--decision-mode", choices=DECISION_MODES)
     parser.add_argument("--out", "-o", help="output file (default stdout)")
 
 
-def _open_out(args):
-    return open(args.out, "w") if args.out else sys.stdout
+def _output(args):
+    """The --out file, or stdout (left open), as a context manager."""
+    if args.out:
+        return open(args.out, "w")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _require_count(args, name, value):
+    """Exit with a one-line message unless the count `value` is >= 1."""
+    if value < 1:
+        raise SystemExit(f"relaysim {args.command}: {name} must be >= 1, "
+                         f"got {value}")
 
 
 def cmd_run(args):
@@ -99,15 +108,15 @@ def cmd_run(args):
         summary["q_avg_mean"] = mean
         summary["q_avg_ci90_half"] = half
     summary["stable_fraction"] = stable_fraction(results)
-    out = _open_out(args)
-    json.dump(summary, out, indent=2)
-    out.write("\n")
-    if args.out:
-        out.close()
+    with _output(args) as out:
+        json.dump(summary, out, indent=2)
+        out.write("\n")
 
 
 def cmd_sweep(args):
     config = _load_config(args)
+    _require_count(args, "workers", args.workers)
+    _require_count(args, "grid", args.grid)
     n_nodes = config.params.n_nodes
     if args.gamma:
         gammas = [float(g) for g in args.gamma.split(",")]
@@ -120,58 +129,58 @@ def cmd_sweep(args):
         n = args.grid
         grid = box_grid(n, args.l0_max, args.l1_max)
     rows = sweep_grid(config, grid, workers=args.workers)
-    out = _open_out(args)
-    for line in header_lines(config):
-        out.write(line + "\n")
     lambdas = ",".join(f"lambda{i}" for i in range(n_nodes))
-    out.write(f"{lambdas},mean_q_avg,stable_fraction,mean_final,ci_half\n")
-    for row in rows:
-        lam = ",".join(f"{a:.10g}" for a in row["lam"])
-        if "error" in row:
-            out.write(f"{lam},error,,,\n")
-            continue
-        fraction = row["stable_fraction"]
-        fraction = "" if fraction is None else f"{fraction:.3f}"
-        out.write(f"{lam},{row['mean_q_avg']:.6g},{fraction},"
-                  f"{row['mean_final']:.6g},{row['ci_half']:.6g}\n")
-    if args.out:
-        out.close()
+    with _output(args) as out:
+        for line in header_lines(config):
+            out.write(line + "\n")
+        out.write(f"{lambdas},mean_q_avg,stable_fraction,mean_final,"
+                  f"ci_half\n")
+        for row in rows:
+            lam = ",".join(f"{a:.10g}" for a in row["lam"])
+            if "error" in row:
+                out.write(f"{lam},error,,,\n")
+                continue
+            fraction = row["stable_fraction"]
+            fraction = "" if fraction is None else f"{fraction:.3f}"
+            out.write(f"{lam},{row['mean_q_avg']:.6g},{fraction},"
+                      f"{row['mean_final']:.6g},{row['ci_half']:.6g}\n")
 
 
 def cmd_region(args):
+    _require_count(args, "n-angles", args.n_angles)
     region = analysis.RateRegion2(args.rho0, args.rho1)
-    out = _open_out(args)
-    out.write(f"# rho0 = {args.rho0}\n# rho1 = {args.rho1}\n")
-    out.write("angle_deg,lambda0,lambda1\n")
-    for angle in np.linspace(0.0, 90.0, args.n_angles):
-        l0, l1 = region.boundary(float(angle))
-        out.write(f"{angle:.4f},{l0:.6f},{l1:.6f}\n")
-    if args.out:
-        out.close()
+    with _output(args) as out:
+        out.write(f"# rho0 = {args.rho0}\n# rho1 = {args.rho1}\n")
+        out.write("angle_deg,lambda0,lambda1\n")
+        for angle in np.linspace(0.0, 90.0, args.n_angles):
+            l0, l1 = region.boundary(float(angle))
+            out.write(f"{angle:.4f},{l0:.6f},{l1:.6f}\n")
 
 
 def cmd_boundary_oracle(args):
     config = _load_config(args)
     angles = [float(a) for a in args.angles.split(",")]
-    out = _open_out(args)
-    for line in header_lines(config):
-        out.write(line + "\n")
-    out.write("angle_deg,scale,lambda0,lambda1,capped\n")
-    for angle in angles:
-        point = boundary_oracle(args.rho0, args.rho1, angle, config)
-        out.write(f"{angle:.4f},{point['scale']:.4f},{point['lambda0']:.4f},"
-                  f"{point['lambda1']:.4f},{int(point['capped'])}\n")
-    if args.out:
-        out.close()
+    try:
+        for angle in angles:
+            analysis.ray_direction(angle)
+    except ValueError as exc:
+        raise SystemExit(f"relaysim {args.command}: {exc}") from None
+    with _output(args) as out:
+        for line in header_lines(config):
+            out.write(line + "\n")
+        out.write("angle_deg,scale,lambda0,lambda1,capped\n")
+        for angle in angles:
+            point = boundary_oracle(args.rho0, args.rho1, angle, config)
+            out.write(f"{angle:.4f},{point['scale']:.4f},"
+                      f"{point['lambda0']:.4f},{point['lambda1']:.4f},"
+                      f"{int(point['capped'])}\n")
 
 
 def cmd_dtmc_check(args):
     if args.seed is not None and args.seed < 0:
         raise SystemExit(f"relaysim dtmc-check: seed must be non-negative, "
                          f"got {args.seed}")
-    if args.trials < 1:
-        raise SystemExit(f"relaysim dtmc-check: trials must be >= 1, "
-                         f"got {args.trials}")
+    _require_count(args, "trials", args.trials)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst_gap = 0.0
     worst_balance = 0.0
@@ -201,11 +210,9 @@ def cmd_dtmc_check(args):
         "max_detailed_balance_violation": worst_balance,
         "pass": bool(worst_gap < 1e-8 and worst_balance < 1e-10),
     }
-    out = _open_out(args)
-    json.dump(report, out, indent=2)
-    out.write("\n")
-    if args.out:
-        out.close()
+    with _output(args) as out:
+        json.dump(report, out, indent=2)
+        out.write("\n")
     if not report["pass"]:
         raise SystemExit(1)
 

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import stats as _st
 
+from .analysis import ray_direction
 from .contention import elect_block, sampled_decision
 from .core import IDLE, NetworkParams, QueueState, SlotRecord, apply_slot
 from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
@@ -107,6 +108,36 @@ def classify_stability(slots, totals, total_rate=None, horizon=None):
     return bool(stable), slope
 
 
+def sample_slots(horizon):
+    """The slots whose total backlog a run's trajectory records: every
+    stride-th slot, at most MAX_TRAJECTORY_POINTS of them, and the last."""
+    stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
+    return tuple(t for t in range(horizon)
+                 if t % stride == 0 or t == horizon - 1)
+
+
+def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
+               distinct_channels, records=None) -> RunResult:
+    """A run's RunResult from its sampled trajectory and its sum of per-slot
+    total backlogs; a trajectory of fewer than MIN_CLASSIFIED_SAMPLES
+    samples is left unclassified."""
+    stable, slope = None, None
+    if len(slots) >= MIN_CLASSIFIED_SAMPLES:
+        stable, slope = classify_stability(slots, totals, sum(lam), horizon)
+    return RunResult(
+        seed=seed,
+        q_avg=acc / horizon,
+        slots=tuple(slots),
+        totals=tuple(totals),
+        final_total=totals[-1],
+        stable=stable,
+        slope=slope,
+        memory_entries=memory_entries,
+        distinct_channels=distinct_channels,
+        records=[] if records is None else records,
+    )
+
+
 def run_once(config: ExperimentConfig, seed) -> RunResult:
     """Execute one seeded run of `horizon` slots.
 
@@ -132,8 +163,9 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     prev_x = IDLE
     seen_channels = set()
 
-    stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
-    slots, totals = [], []
+    slots = sample_slots(horizon)
+    sampled = set(slots)
+    totals = []
     records = []
     acc = 0
 
@@ -177,33 +209,16 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
                 x_data = IDLE
 
             queues, tag = apply_slot(queues, x_data, channel, arrivals)
-            acc += queues.total()
-
-            if t % stride == 0 or t == horizon - 1:
-                slots.append(t)
-                totals.append(queues.total())
+            total = queues.total()
+            acc += total
+            if t in sampled:
+                totals.append(total)
             if trace:
                 records.append(SlotRecord(t, channel, decision, x, tag,
                                           arrivals, queues))
 
-    total_rate = sum(params.lam)
-    if len(slots) >= MIN_CLASSIFIED_SAMPLES:
-        stable, slope = classify_stability(slots, totals, total_rate, horizon)
-    else:
-        stable, slope = None, None  # too short a trajectory to classify
-
-    return RunResult(
-        seed=seed,
-        q_avg=acc / horizon,
-        slots=tuple(slots),
-        totals=tuple(totals),
-        final_total=totals[-1],
-        stable=stable,
-        slope=slope,
-        memory_entries=len(memory),
-        distinct_channels=len(seen_channels),
-        records=records,
-    )
+    return run_result(seed, params.lam, horizon, slots, totals, acc,
+                      len(memory), len(seen_channels), records)
 
 
 def run_seeds(config: ExperimentConfig, seeds=None):
@@ -331,10 +346,10 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
     """Empirical boundary point along a ray, by bisection on simulated runs.
 
     A scale is inside iff the majority of seeds classify stable at horizon
-    >= 5e4. Independent of the closed-form region; used to validate it.
+    >= 5e4. Independent of the closed-form region; used to validate it. An
+    angle outside [0, 90] degrees raises ValueError.
     """
-    theta = math.radians(angle_deg)
-    ux, uy = max(math.cos(theta), 0.0), max(math.sin(theta), 0.0)
+    ux, uy = ray_direction(angle_deg)
     params = replace(config.params, n_relays=1, rho=(rho0, rho1),
                      lam=(0.0, 0.0))
     config = replace(config, params=params,

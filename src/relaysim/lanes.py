@@ -6,7 +6,16 @@ numpy arrays and steps all lanes one slot at a time, so the per-slot Python
 overhead is paid once for L lanes instead of once per run. Each lane draws
 from its own RunStreams(seed) exactly the values run_once draws, in the same
 order, and repeats run_once's integer and floating-point operations, so its
-RunResult equals run_once's field by field (tests/test_lanes.py).
+RunResult equals run_once's field by field (tests/test_lanes.py). sweep_grid
+runs its lanes here; run, boundary-oracle and run_seeds stay on run_once,
+which is faster for the few lanes they run at a time.
+
+One rule set serves all four schedulers, as in scheduling: every scheduling
+rule reads a per-block `rule` channel array, the realized channels for mws
+and rqcsma and all-ON for the channel-blind qcsma and ub. Under all-ON,
+qcsma's held schedule is rqcsma's memory cell of the all-ON realization.
+The realized channels stay in the data plane: whether the source forwards,
+and whether a blind schedule holds an OFF relay and wastes the slot.
 
 Per-lane state:
 
@@ -22,23 +31,22 @@ Per-lane state:
   over integer backlogs b, so every coin compares against the value
   run_once computes.
 - channel realizations: a dense (lanes, 2^(N+1)) table indexed by the
-  channel bitmask marks the ones a lane has seen and, for rqcsma, holds
-  its memory. Above MAX_TABLE_RELAYS relays that table is too large, and
-  run_lanes runs every lane through run_once.
+  channel bitmask marks the ones a lane has seen and, for the CSMA
+  schedulers, holds the carrier-sense memory of each rule channel. Above
+  MAX_TABLE_RELAYS relays that table is too large, and run_lanes runs every
+  lane through run_once.
 - trajectory: one int64 array of shape (samples, lanes).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from .contention import contenders, elect_rows
-from .harness import (BLOCK_SLOTS, MAX_TRAJECTORY_POINTS,
-                      MIN_CLASSIFIED_SAMPLES, ExperimentConfig, RunResult,
-                      classify_stability, run_once)
+from .harness import (BLOCK_SLOTS, ExperimentConfig, run_once, run_result,
+                      sample_slots)
 from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
 from .scheduling import activation_probability
 
@@ -78,48 +86,29 @@ def run_lanes(config: ExperimentConfig, lanes):
     if not lanes:
         return
     lane_params = [replace(params, lam=lam) for lam, _ in lanes]
+    slots = sample_slots(config.horizon)
     traj, acc, distinct = _simulate(config, lane_params,
-                                    [seed for _, seed in lanes])
-
-    horizon = config.horizon
-    stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
-    slots = tuple(t for t in range(horizon)
-                  if t % stride == 0 or t == horizon - 1)
+                                    [seed for _, seed in lanes], slots)
     rqcsma = config.scheduler == "rqcsma"
     for k, (p, (_, seed)) in enumerate(zip(lane_params, lanes)):
-        totals = tuple(traj[:, k].tolist())
-        stable, slope = None, None
-        if len(slots) >= MIN_CLASSIFIED_SAMPLES:
-            stable, slope = classify_stability(slots, totals, sum(p.lam),
-                                               horizon)
-        yield RunResult(
-            seed=seed,
-            q_avg=int(acc[k]) / horizon,
-            slots=slots,
-            totals=totals,
-            final_total=totals[-1],
-            stable=stable,
-            slope=slope,
-            # every rqcsma slot writes its realization's memory cell
-            memory_entries=distinct[k] if rqcsma else 0,
-            distinct_channels=distinct[k],
-        )
+        yield run_result(seed, p.lam, config.horizon, slots,
+                         traj[:, k].tolist(), int(acc[k]),
+                         # every rqcsma slot writes its realization's cell
+                         distinct[k] if rqcsma else 0, distinct[k])
 
 
-def _simulate(config, lane_params, seeds):
+def _simulate(config, lane_params, seeds, slots):
     """Advance every lane through the horizon.
 
-    Returns the (samples, lanes) trajectory, each lane's sum of per-slot
-    total backlogs, and each lane's count of distinct channel realizations.
+    Returns the (samples, lanes) trajectory at the sampled `slots`, each
+    lane's sum of per-slot total backlogs, and each lane's count of distinct
+    channel realizations.
     """
     params = config.params
     scheduler = config.scheduler
     horizon = config.horizon
-    sampler = (config.decision_mode == "sampler"
-               and scheduler in ("rqcsma", "qcsma"))
-    elected = (config.decision_mode == "contention"
-               and scheduler in ("rqcsma", "qcsma"))
-    coins = scheduler in ("rqcsma", "qcsma")
+    csma = scheduler in ("rqcsma", "qcsma")
+    sampler = csma and config.decision_mode == "sampler"
     blind = scheduler in ("qcsma", "ub")
     window = params.contention_window
     gain = params.activation_gain
@@ -145,24 +134,19 @@ def _simulate(config, lane_params, seeds):
     cells = 1 << n
     seen = np.zeros((n_lanes, cells), dtype=bool)
     weights = 1 << np.arange(n, dtype=np.int64)
-    if scheduler == "rqcsma":
+    if csma:
         memory = np.full(n_lanes * cells, -1, dtype=np.int64)
-
-    if coins:
         buf = np.zeros((n_lanes, _COIN_BUFFER))
         bflat = buf.reshape(-1)
         b_row = lane * _COIN_BUFFER
         cursor = np.full(n_lanes, _COIN_BUFFER, dtype=np.int64)
         table = activation_table(gain, 1)
         top = 0
-    prev_x = np.full(n_lanes, -1, dtype=np.int64)
     ab = np.zeros((n_lanes, n), dtype=np.int64)
     abflat = ab.reshape(-1)
     ab_row = lane * n
 
-    stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
-    sample_t = np.array([t for t in range(horizon)
-                         if t % stride == 0 or t == horizon - 1])
+    sample_t = np.array(slots)
     traj = np.empty((len(sample_t), n_lanes), dtype=np.int64)
     acc = np.zeros(n_lanes, dtype=np.int64)
     totals = np.empty((BLOCK_SLOTS, n_lanes), dtype=np.int64)
@@ -174,44 +158,39 @@ def _simulate(config, lane_params, seeds):
                              for s in streams], axis=1)  # (slots, lanes, N+1)
         arrivals = np.stack([sample_arrival_matrix(p, s.arrivals, n_slots)
                              for p, s in zip(lane_params, streams)], axis=1)
+        seen[lane, channels @ weights] = True
+        rule = np.ones_like(channels) if blind else channels
         c0_off = channels[:, :, 0] == 0
-        codes = channels @ weights
-        seen[lane, codes] = True
-        if scheduler == "rqcsma":
-            mem_idx = codes + lane * cells
-        if elected or scheduler == "ub":
+        rule_c0_off = rule[:, :, 0] == 0
+        if csma:
+            cell_at = rule @ weights + lane * cells
+        if scheduler == "mws":
+            mws_mask = contenders(rule)
+        elif not sampler:
             uniforms = np.stack([s.contention.uniform_matrix(n_slots, n)
                                  for s in streams], axis=1)
-        if elected:
-            decisions = elect_rows(uniforms, window + 1, contenders(
-                channels if scheduler == "rqcsma" else None))
-            decided = decisions >= 0
-            decision_at = ab_row + np.maximum(decisions, 0)
-        if sampler:
-            # Options of sampled_decision: Idle, node 0, then the ON relays
-            # in index order (every relay for the blind qcsma).
-            if scheduler == "rqcsma":
-                on = channels[:, :, 1:] != 0
-            else:
-                on = np.ones((n_slots, n_lanes, relays), dtype=bool)
-            relay_ids = np.sort(np.where(on, np.arange(1, n), n), axis=-1)
-            options = np.concatenate(
-                (np.broadcast_to([-1, 0], (n_slots, n_lanes, 2)), relay_ids),
-                axis=-1).reshape(-1)
-            n_options = 2 + on.sum(axis=-1)
+            if csma:
+                decisions = elect_rows(uniforms, window + 1, contenders(rule))
+                decided = decisions >= 0
+                decision_at = ab_row + np.maximum(decisions, 0)
         if sampler or blind:
             # Start of each (slot, lane) row of n+1 entries, indexed by
             # x + 1 for a schedule x: [Idle, node 0, relays].
             row = (np.arange(n_slots * n_lanes) * (n + 1)).reshape(
                 n_slots, n_lanes)
+        if sampler:
+            # Options of sampled_decision: Idle, node 0, then the relays ON
+            # under the rule channel, in index order.
+            on = rule[:, :, 1:] != 0
+            options = _schedule_rows(
+                np.sort(np.where(on, np.arange(1, n), n), axis=-1))
+            n_options = 2 + on.sum(axis=-1)
         if blind:
-            # A blind schedule holding an OFF relay wastes the data slot.
-            feasible = np.concatenate(
-                (np.ones((n_slots, n_lanes, 2), dtype=bool),
-                 channels[:, :, 1:] != 0), axis=-1).reshape(-1)
-        if scheduler == "mws":
-            mws_mask = contenders(channels)
-        if coins:
+            # The schedule the data slot serves: a blind schedule holding
+            # an OFF relay wastes the slot.
+            served_x = _schedule_rows(
+                np.where(channels[:, :, 1:] != 0, np.arange(1, n), -1))
+        if csma:
             _refill(buf, cursor, streams)
             # An action backlog is at most the total backlog, which grows
             # by at most n * a_max per slot.
@@ -226,15 +205,11 @@ def _simulate(config, lane_params, seeds):
             # index on ties (relay_target).
             target = q0i_at + queues[:, n:zero].argmin(axis=1)
             # Action backlogs: a relay serves the larger of its queues; the
-            # source its own queue when its channel is ON (always for the
-            # blind schedulers), else the differential backlog.
+            # source its own queue when its rule channel is ON, else the
+            # differential backlog max(Q_0 - min Q_0i, 0).
             np.maximum(queues[:, 1:n], queues[:, n:zero], out=ab[:, 1:])
-            if blind:
-                ab[:, 0] = queues[:, 0]
-            else:
-                q0 = queues[:, 0]
-                ab[:, 0] = np.where(c0_off[t],
-                                    np.maximum(q0 - qflat[target], 0), q0)
+            q0 = queues[:, 0]
+            ab[:, 0] = q0 - np.minimum(q0, qflat[target]) * rule_c0_off[t]
 
             if scheduler == "mws":
                 masked = ab * mws_mask[t]
@@ -252,26 +227,21 @@ def _simulate(config, lane_params, seeds):
                     d_ok, d_at = d >= 0, ab_row + np.maximum(d, 0)
                 else:
                     d, d_ok, d_at = decisions[t], decided[t], decision_at[t]
-                if scheduler == "rqcsma":
-                    held = memory[mem_idx[t]]
-                else:
-                    held = prev_x
-                # _csma_step: an Idle decision or a different held node
-                # keeps the held schedule; else the decision node draws a
-                # coin when its action backlog is positive.
+                # _csma_step on the rule channel's memory cell: an Idle
+                # decision or a different held node keeps the held
+                # schedule; else the decision node draws a coin when its
+                # action backlog is positive.
+                cell = cell_at[t]
+                held = memory[cell]
                 need = d_ok & ((held < 0) | (held == d))
                 b = abflat[d_at]
                 draw = need & (b > 0)
                 coin = bflat[b_row + cursor]
                 cursor += draw
                 win = draw & (coin < table[np.minimum(b, top)])
-                x = np.where(win, d, np.where(need, -1, held))
-                if scheduler == "rqcsma":
-                    memory[mem_idx[t]] = x
-                else:
-                    prev_x = x
+                x = memory[cell] = np.where(win, d, np.where(need, -1, held))
             if blind:
-                x = np.where(feasible[row[t] + x + 1], x, -1)
+                x = served_x[row[t] + x + 1]
 
             # apply_slot: the source serves Q_0 (relaying to the relay with
             # the smallest Q_0i when its channel is OFF); a relay serves the
@@ -297,6 +267,13 @@ def _simulate(config, lane_params, seeds):
         filled += len(in_block)
 
     return traj, acc, seen.sum(axis=1).tolist()
+
+
+def _schedule_rows(relay_entries):
+    """Flat (slot, lane) rows [Idle, node 0, relay entries...], the layout
+    that `row` indexes."""
+    head = np.broadcast_to([-1, 0], relay_entries.shape[:-1] + (2,))
+    return np.concatenate((head, relay_entries), axis=-1).reshape(-1)
 
 
 def _refill(buf, cursor, streams):

@@ -148,6 +148,11 @@ class TestRateRegion:
         assert l0 == pytest.approx(0.0, abs=1e-12)
         assert l1 == pytest.approx(0.7, abs=1e-5)
 
+    @pytest.mark.parametrize("angle", [100.0, -5.0, 180.0])
+    def test_boundary_rejects_off_quadrant_angle(self, angle):
+        with pytest.raises(ValueError, match=r"angle must lie in \[0, 90\]"):
+            RateRegion2(0.4, 0.7).boundary(angle)
+
     def test_boundary_diagonal_low_rho1(self):
         l0, l1 = RateRegion2(0.5, 0.4).boundary(45.0)
         assert l0 == pytest.approx(0.35, abs=1e-5)

@@ -264,3 +264,29 @@ def test_run_traces_only_the_first_seed(tmp_path, monkeypatch):
           "--trace", str(trace), "--out", str(tmp_path / "summary.json")])
     assert calls == [(4, True), (5, False), (6, False)]
     assert len(read_lines(trace)) == 201
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--workers", "-3", "--grid", "2"],
+     "relaysim sweep: workers must be >= 1, got -3"),
+    (["sweep", "--workers", "0", "--grid", "2"],
+     "relaysim sweep: workers must be >= 1, got 0"),
+    (["sweep", "--grid", "0"], "relaysim sweep: grid must be >= 1, got 0"),
+    (["region", "--rho0", "0.4", "--rho1", "0.7", "--n-angles", "0"],
+     "relaysim region: n-angles must be >= 1, got 0"),
+])
+def test_counts_below_one_rejected(tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    assert exit_message(argv + ["--out", str(out)]) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("angle", ["100", "-5"])
+def test_boundary_oracle_off_quadrant_angle_rejected(tmp_path, angle):
+    out = tmp_path / "oracle.csv"
+    assert exit_message(["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7",
+                         f"--angles=0,{angle}", "--horizon", "100",
+                         "--out", str(out)]) == (
+        f"relaysim boundary-oracle: angle must lie in [0, 90] degrees, "
+        f"got {angle}")
+    assert not out.exists()

@@ -7,8 +7,9 @@ import pytest
 from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
                       classify_stability, parse_config, run_once, run_seeds,
                       sweep_grid)
-from relaysim.harness import (box_grid, config_to_dict, gamma_grid,
-                              header_lines, stable_fraction)
+from relaysim.harness import (MAX_TRAJECTORY_POINTS, boundary_oracle,
+                              box_grid, config_to_dict, gamma_grid,
+                              header_lines, sample_slots, stable_fraction)
 
 
 def make_config(lam=(0.0, 0.0), rho=(0.4, 0.7), **kw):
@@ -221,3 +222,21 @@ def test_oracle_monotonicity_beyond_boundary():
     u = 2 ** -0.5
     votes = [_majority_stable(cfg, (c * u, c * u)) for c in (0.70, 0.80)]
     assert votes == [False, False]
+
+
+@pytest.mark.parametrize("angle", [100.0, -5.0, 180.0])
+def test_oracle_rejects_off_quadrant_angle(angle):
+    cfg = make_config(horizon=100, n_seeds=1, scheduler="mws")
+    with pytest.raises(ValueError, match=r"angle must lie in \[0, 90\]"):
+        boundary_oracle(0.4, 0.7, angle, cfg)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 99, 10_000, 10_001, 50_001])
+def test_sample_slots_stride(horizon):
+    slots = sample_slots(horizon)
+    assert slots[0] == 0 and slots[-1] == horizon - 1
+    assert len(slots) <= MAX_TRAJECTORY_POINTS + 1
+    stride = math.ceil(horizon / MAX_TRAJECTORY_POINTS)
+    gaps = [b - a for a, b in zip(slots, slots[1:])]
+    assert gaps[:-1] == [stride] * (len(gaps) - 1)
+    assert all(0 < g <= stride for g in gaps)
