@@ -190,6 +190,8 @@ def kolmogorov_mismatch(tm: TransitionMatrix, cycle=JOINT_CYCLE) -> float:
 def ray_direction(angle_deg):
     """Unit direction of the ray at angle_deg from the lambda0 axis; the ray
     must point into the first quadrant, up to rounding."""
+    if not math.isfinite(angle_deg):
+        raise ValueError(f"angle must be finite, got {angle_deg:g}")
     theta = math.radians(angle_deg)
     ux, uy = math.cos(theta), math.sin(theta)
     if ux < -1e-12 or uy < -1e-12:

@@ -15,58 +15,38 @@ from . import analysis
 from .core import IDLE
 from .harness import (DECISION_MODES, ExperimentConfig, aggregate_ci,
                       boundary_oracle, box_grid, config_to_dict, gamma_grid,
-                      header_lines, parse_config, run_seeds, stable_fraction,
-                      sweep_grid)
+                      header_lines, oracle_config, parse_config, parse_floats,
+                      run_seeds, stable_fraction, sweep_grid)
 from .scheduling import SCHEDULER_KINDS
 
 
+# The common flags, each replacing a config key: flag -> (key, options).
+_CONFIG_FLAGS = {
+    "--scheduler": ("scheduler", {"choices": SCHEDULER_KINDS}),
+    "--rho": ("rho", {"help": "comma-separated ON probabilities"}),
+    "--lambda": ("lambda", {"help": "comma-separated arrival rates"}),
+    "--horizon": ("horizon", {}),
+    "--seed": ("seed", {}),
+    "--seeds": ("n_seeds", {"help": "number of sample paths"}),
+    "--decision-mode": ("decision_mode", {"choices": DECISION_MODES}),
+}
+
+
 def _load_config(args) -> ExperimentConfig:
-    """The experiment config from --config and the flags; bad input exits
-    with a one-line message."""
-    try:
-        return _build_config(args)
-    except ValueError as exc:
-        raise SystemExit(f"relaysim {args.command}: {exc}") from None
+    """The experiment config from --config, with the flags' keys replaced."""
+    flags = {key: getattr(args, key) for key, _ in _CONFIG_FLAGS.values()
+             if getattr(args, key, None) is not None}
+    return parse_config(Path(args.config).read_text() if args.config
+                        else "", flags)
 
 
-def _build_config(args) -> ExperimentConfig:
-    config = parse_config(Path(args.config).read_text() if args.config
-                          else "")
-    params = config.params
-    if args.rho is not None:
-        values = tuple(float(v) for v in args.rho.split(","))
-        params = replace(params, n_relays=len(values) - 1, rho=values,
-                         lam=params.lam if len(params.lam) == len(values)
-                         else (0.0,) * len(values))
-    if getattr(args, "lam", None) is not None:
-        values = tuple(float(v) for v in args.lam.split(","))
-        if len(values) != params.n_nodes:
-            raise SystemExit("--lambda length must match rho length")
-        params = replace(params, lam=values)
-    if args.seed is not None:
-        params = replace(params, seed=args.seed)
-    config = replace(config, params=params)
-    if args.scheduler:
-        config = replace(config, scheduler=args.scheduler)
-    if args.horizon is not None:
-        config = replace(config, horizon=args.horizon)
-    if args.seeds is not None:
-        config = replace(config, n_seeds=args.seeds)
-    if getattr(args, "decision_mode", None):
-        config = replace(config, decision_mode=args.decision_mode)
-    return config
-
-
-def _add_common(parser):
+def _add_common(parser, network=True):
+    """--config, the config-key flags (--rho and --lambda only with
+    `network`) and --out."""
     parser.add_argument("--config", "-c", help="flat key=value config file")
-    parser.add_argument("--scheduler", choices=SCHEDULER_KINDS)
-    parser.add_argument("--rho", help="comma-separated ON probabilities")
-    parser.add_argument("--lambda", dest="lam",
-                        help="comma-separated arrival rates")
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--seeds", type=int, help="number of sample paths")
-    parser.add_argument("--decision-mode", choices=DECISION_MODES)
+    for flag, (key, options) in _CONFIG_FLAGS.items():
+        if network or key not in ("rho", "lambda"):
+            parser.add_argument(flag, dest=key, **options)
     parser.add_argument("--out", "-o", help="output file (default stdout)")
 
 
@@ -77,16 +57,24 @@ def _output(args):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _require_count(args, name, value):
-    """Exit with a one-line message unless the count `value` is >= 1."""
+@contextlib.contextmanager
+def _input_errors(args):
+    """Turn bad input (ValueError or OSError) into a one-line exit."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"relaysim {args.command}: {exc}") from None
+
+
+def _require_count(name, value):
+    """Reject the count `value` unless it is >= 1."""
     if value < 1:
-        raise SystemExit(f"relaysim {args.command}: {name} must be >= 1, "
-                         f"got {value}")
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def cmd_run(args):
-    config = _load_config(args)
-    config = replace(config, trace=bool(args.trace))
+    with _input_errors(args):
+        config = replace(_load_config(args), trace=bool(args.trace))
     results = run_seeds(config)
 
     if args.trace:
@@ -114,20 +102,19 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    config = _load_config(args)
-    _require_count(args, "workers", args.workers)
-    _require_count(args, "grid", args.grid)
-    n_nodes = config.params.n_nodes
-    if args.gamma:
-        gammas = [float(g) for g in args.gamma.split(",")]
-        grid = gamma_grid(config.params.lam, gammas)
-    elif n_nodes > 2:
-        raise SystemExit(f"relaysim sweep: a box sweep needs 2 rates (one "
-                         f"relay), not {n_nodes}; use --gamma to sweep a "
-                         f"network with more relays")
-    else:
-        n = args.grid
-        grid = box_grid(n, args.l0_max, args.l1_max)
+    with _input_errors(args):
+        config = _load_config(args)
+        _require_count("workers", args.workers)
+        _require_count("grid", args.grid)
+        n_nodes = config.params.n_nodes
+        if args.gamma:
+            grid = gamma_grid(config.params.lam, parse_floats(args.gamma))
+        elif n_nodes > 2:
+            raise ValueError(f"a box sweep needs 2 rates (one relay), not "
+                             f"{n_nodes}; use --gamma to sweep a network "
+                             f"with more relays")
+        else:
+            grid = box_grid(args.grid, args.l0_max, args.l1_max)
     rows = sweep_grid(config, grid, workers=args.workers)
     lambdas = ",".join(f"lambda{i}" for i in range(n_nodes))
     with _output(args) as out:
@@ -147,8 +134,9 @@ def cmd_sweep(args):
 
 
 def cmd_region(args):
-    _require_count(args, "n-angles", args.n_angles)
-    region = analysis.RateRegion2(args.rho0, args.rho1)
+    with _input_errors(args):
+        _require_count("n-angles", args.n_angles)
+        region = analysis.RateRegion2(args.rho0, args.rho1)
     with _output(args) as out:
         out.write(f"# rho0 = {args.rho0}\n# rho1 = {args.rho1}\n")
         out.write("angle_deg,lambda0,lambda1\n")
@@ -158,13 +146,11 @@ def cmd_region(args):
 
 
 def cmd_boundary_oracle(args):
-    config = _load_config(args)
-    angles = [float(a) for a in args.angles.split(",")]
-    try:
+    with _input_errors(args):
+        config = oracle_config(args.rho0, args.rho1, _load_config(args))
+        angles = parse_floats(args.angles)
         for angle in angles:
             analysis.ray_direction(angle)
-    except ValueError as exc:
-        raise SystemExit(f"relaysim {args.command}: {exc}") from None
     with _output(args) as out:
         for line in header_lines(config):
             out.write(line + "\n")
@@ -177,11 +163,11 @@ def cmd_boundary_oracle(args):
 
 
 def cmd_dtmc_check(args):
-    if args.seed is not None and args.seed < 0:
-        raise SystemExit(f"relaysim dtmc-check: seed must be non-negative, "
-                         f"got {args.seed}")
-    _require_count(args, "trials", args.trials)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    with _input_errors(args):
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
+        _require_count("trials", args.trials)
+    rng = np.random.default_rng(args.seed)
     worst_gap = 0.0
     worst_balance = 0.0
     checks = 0
@@ -249,7 +235,7 @@ def main(argv=None):
 
     p_oracle = sub.add_parser("boundary-oracle",
                               help="empirical stability boundary, CSV")
-    _add_common(p_oracle)
+    _add_common(p_oracle, network=False)
     p_oracle.add_argument("--rho0", type=float, required=True)
     p_oracle.add_argument("--rho1", type=float, required=True)
     p_oracle.add_argument("--angles", default="0,30,45,60,90",
@@ -259,7 +245,7 @@ def main(argv=None):
     p_dtmc = sub.add_parser("dtmc-check",
                             help="verify product-form stationary laws, JSON")
     p_dtmc.add_argument("--trials", type=int, default=50)
-    p_dtmc.add_argument("--seed", type=int)
+    p_dtmc.add_argument("--seed", type=int, default=0)
     p_dtmc.add_argument("--out", "-o")
     p_dtmc.set_defaults(func=cmd_dtmc_check)
 

@@ -10,6 +10,7 @@ packets vs. packets relayed on behalf of node 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -54,19 +55,20 @@ class NetworkParams:
         if n < 1:
             raise ValueError("need at least one relay")
         if len(self.rho) != n + 1 or len(self.lam) != n + 1:
-            raise ValueError(f"rho and lam must have length N+1 = {n + 1}")
+            raise ValueError(f"rho and lam must have length N+1 = {n + 1}, "
+                             f"got {len(self.rho)} and {len(self.lam)}")
         if any(not 0.0 <= r <= 1.0 for r in self.rho):
             raise ValueError("channel ON probabilities must lie in [0, 1]")
-        if any(a < 0.0 for a in self.lam):
-            raise ValueError("arrival rates must be non-negative")
+        if any(not a >= 0.0 for a in self.lam):  # NaN included
+            raise ValueError("arrival rates must be non-negative numbers")
         if self.a_max < 1:
             raise ValueError("a_max must be >= 1")
         if any(a > self.a_max for a in self.lam):
             raise ValueError("arrival rate above a_max is unsatisfiable")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if self.activation_gain <= 0.0:
-            raise ValueError("activation_gain must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0.0 < self.activation_gain < math.inf:
+            raise ValueError("activation_gain must be positive and finite")
         if self.contention_window < 1:
             raise ValueError("contention window must be >= 1")
         if self.seed < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from typing import Optional
 
@@ -341,6 +341,14 @@ def _majority_stable(config: ExperimentConfig, lam):
     return sum(r.stable for r in results) > len(results) / 2
 
 
+def oracle_config(rho0, rho1, config: ExperimentConfig):
+    """The config boundary_oracle runs: one relay with ON probabilities
+    (rho0, rho1), zero base rates and a horizon of at least 5e4."""
+    params = replace(config.params, n_relays=1, rho=(rho0, rho1),
+                     lam=(0.0, 0.0))
+    return replace(config, params=params, horizon=max(config.horizon, 50_000))
+
+
 def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
                     resolution=0.01):
     """Empirical boundary point along a ray, by bisection on simulated runs.
@@ -350,10 +358,7 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
     angle outside [0, 90] degrees raises ValueError.
     """
     ux, uy = ray_direction(angle_deg)
-    params = replace(config.params, n_relays=1, rho=(rho0, rho1),
-                     lam=(0.0, 0.0))
-    config = replace(config, params=params,
-                     horizon=max(config.horizon, 50_000))
+    config = oracle_config(rho0, rho1, config)
 
     # Largest scale at which both rates remain valid arrival rates.
     cap = min((config.params.a_max / u for u in (ux, uy) if u > 1e-12),
@@ -378,33 +383,46 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # Flat key=value config files and output headers.
 
-_CONFIG_KEYS = ("n_relays", "rho", "lambda", "a_max", "arrival_law", "beta",
-                "contention_window", "seed", "activation_gain", "scheduler",
-                "horizon", "n_seeds", "decision_mode")
+def parse_floats(text):
+    """A comma- or space-separated list of floats."""
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+# Config key -> (NetworkParams or ExperimentConfig field, value parser), in
+# header order. arrival_law is derived from a_max, informational only.
+_CONFIG_KEYS = {
+    "n_relays": ("n_relays", int), "rho": ("rho", parse_floats),
+    "lambda": ("lam", parse_floats), "a_max": ("a_max", int),
+    "arrival_law": (None, None), "beta": ("beta", float),
+    "contention_window": ("contention_window", int), "seed": ("seed", int),
+    "activation_gain": ("activation_gain", float),
+    "scheduler": ("scheduler", str), "horizon": ("horizon", int),
+    "n_seeds": ("n_seeds", int), "decision_mode": ("decision_mode", str),
+}
+_PARAM_FIELDS = {f.name for f in fields(NetworkParams)}
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     p = config.params
-    return {
-        "n_relays": p.n_relays,
-        "rho": ", ".join(repr(r) for r in p.rho),
-        "lambda": ", ".join(repr(a) for a in p.lam),
-        "a_max": p.a_max,
-        # derived, informational: the arrival law a_max implies
-        "arrival_law": "bernoulli" if p.a_max == 1 else "binomial",
-        "beta": p.beta,
-        "contention_window": p.contention_window,
-        "seed": p.seed,
-        "activation_gain": p.activation_gain,
-        "scheduler": config.scheduler,
-        "horizon": config.horizon,
-        "n_seeds": config.n_seeds,
-        "decision_mode": config.decision_mode,
-    }
+    items = {}
+    for key, (name, _) in _CONFIG_KEYS.items():
+        if name is None:
+            value = "bernoulli" if p.a_max == 1 else "binomial"
+        else:
+            value = getattr(p if name in _PARAM_FIELDS else config, name)
+        if isinstance(value, tuple):
+            value = ", ".join(repr(v) for v in value)
+        items[key] = value
+    return items
 
 
-def parse_config(text) -> ExperimentConfig:
-    """Parse the flat key = value experiment-config format."""
+def parse_config(text, overrides=None) -> ExperimentConfig:
+    """Parse the flat key = value experiment-config format.
+
+    `overrides` maps config keys to value text that replaces the file's; an
+    overriding rho brings its own relay count. Absent keys take the
+    dataclass defaults, except rho (0.4, 0.7) and lambda (all zeros).
+    """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -414,39 +432,30 @@ def parse_config(text) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         raw[key.strip()] = value.strip()
+    overrides = overrides or {}
+    if "rho" in overrides:
+        raw.pop("n_relays", None)
+    raw.update(overrides)
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def vector(key, default=None):
-        if key not in raw:
-            return default
-        return tuple(float(v) for v in raw[key].replace(",", " ").split())
-
-    raw.pop("arrival_law", None)  # derived from a_max, informational only
-    n_relays = int(raw.get("n_relays", 1))
-    rho = vector("rho", (0.4, 0.7) if n_relays == 1 else None)
-    lam = vector("lambda", (0.0,) * (n_relays + 1))
-    params = NetworkParams(
-        n_relays=n_relays,
-        rho=rho,
-        lam=lam,
-        a_max=int(raw.get("a_max", 1)),
-        beta=float(raw.get("beta", 0.1)),
-        contention_window=int(raw.get("contention_window", 32)),
-        seed=int(raw.get("seed", 0)),
-        activation_gain=float(raw.get("activation_gain", 0.2)),
-    )
-    return ExperimentConfig(
-        params=params,
-        scheduler=raw.get("scheduler", "rqcsma"),
-        horizon=int(raw.get("horizon", 10_000)),
-        n_seeds=int(raw.get("n_seeds", 10)),
-        decision_mode=raw.get("decision_mode", "contention"),
-    )
+    values = {}
+    for key, value in raw.items():
+        name, parse = _CONFIG_KEYS[key]
+        if name is not None:
+            try:
+                values[name] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    rho = values.setdefault("rho", (0.4, 0.7))
+    values.setdefault("n_relays", len(rho) - 1)
+    values.setdefault("lam", (0.0,) * len(rho))
+    params = NetworkParams(**{name: values.pop(name)
+                              for name in _PARAM_FIELDS & set(values)})
+    return ExperimentConfig(params, **values)
 
 
 def header_lines(config: ExperimentConfig, comment="#"):
     """Config-and-seed header embedded at the top of every output file."""
-    items = config_to_dict(config)
-    return [f"{comment} {k} = {items[k]}" for k in _CONFIG_KEYS]
+    return [f"{comment} {k} = {v}" for k, v in config_to_dict(config).items()]

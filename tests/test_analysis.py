@@ -153,6 +153,11 @@ class TestRateRegion:
         with pytest.raises(ValueError, match=r"angle must lie in \[0, 90\]"):
             RateRegion2(0.4, 0.7).boundary(angle)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_boundary_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            RateRegion2(0.4, 0.7).boundary(angle)
+
     def test_boundary_diagonal_low_rho1(self):
         l0, l1 = RateRegion2(0.5, 0.4).boundary(45.0)
         assert l0 == pytest.approx(0.35, abs=1e-5)

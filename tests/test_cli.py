@@ -3,13 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaysim
-from relaysim import harness
+from relaysim import ExperimentConfig, NetworkParams, cli, harness
 from relaysim.cli import main
+from relaysim.harness import DECISION_MODES, parse_config
+from relaysim.scheduling import SCHEDULER_KINDS
 
 
 def read_lines(path):
@@ -290,3 +297,149 @@ def test_boundary_oracle_off_quadrant_angle_rejected(tmp_path, angle):
         f"relaysim boundary-oracle: angle must lie in [0, 90] degrees, "
         f"got {angle}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["region", "--rho0", "1.5", "--rho1", "0.7"],
+     "relaysim region: rho0 and rho1 must lie in [0, 1]"),
+    (["boundary-oracle", "--rho0", "1.5", "--rho1", "0.7"],
+     "relaysim boundary-oracle: channel ON probabilities must lie in [0, 1]"),
+    (["sweep", "--gamma", "0.1,x"],
+     "relaysim sweep: could not convert string to float: 'x'"),
+    (["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles",
+      "30,x"],
+     "relaysim boundary-oracle: could not convert string to float: 'x'"),
+    (["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles",
+      "nan"], "relaysim boundary-oracle: angle must be finite, got nan"),
+    (["run", "--lambda", "0.1"],
+     "relaysim run: rho and lam must have length N+1 = 2, got 2 and 1"),
+    (["run", "--lambda", "nan,0.1"],
+     "relaysim run: arrival rates must be non-negative numbers"),
+    (["run", "--horizon", "x"],
+     "relaysim run: horizon: invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_input_exits_before_output(tmp_path, argv, message):
+    out = tmp_path / "out"
+    assert exit_message(argv + ["--out", str(out)]) == message
+    assert not out.exists()
+
+
+def test_n_relays_without_rho_in_config_file_rejected(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_relays = 2\n")
+    assert exit_message(["run", "-c", str(cfg)]) == (
+        "relaysim run: rho and lam must have length N+1 = 3, got 2 and 2")
+
+
+def test_config_file_lambda_must_match_rho_flag(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("rho = 0.4, 0.7\nlambda = 0.2, 0.1\n")
+    assert exit_message(["run", "-c", str(cfg), "--rho", "0.4,0.7,0.8"]) == (
+        "relaysim run: rho and lam must have length N+1 = 3, got 3 and 2")
+
+
+def test_missing_config_file_rejected(tmp_path):
+    message = exit_message(["run", "-c", str(tmp_path / "absent.cfg")])
+    assert message.startswith("relaysim run: ")
+    assert "absent.cfg" in message
+
+
+def test_errors_after_validation_keep_their_traceback(tmp_path, monkeypatch):
+    def defect(config):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(cli, "run_seeds", defect)
+    with pytest.raises(ValueError, match="defect"):
+        main(["run", "--out", str(tmp_path / "out")])
+
+
+def test_nan_box_sweep_writes_error_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    main(["sweep", "--l0-max", "nan", "--grid", "2", "--horizon", "100",
+          "--seeds", "1", "--out", str(out)])
+    rows = [l for l in read_lines(out) if not l.startswith("#")][1:]
+    assert [row.split(",")[2] for row in rows] == ["error"] * 4
+
+
+def test_boundary_oracle_header_is_the_config_it_ran(tmp_path, monkeypatch):
+    seen = []
+
+    def oracle(rho0, rho1, angle, config):
+        seen.append(config)
+        return {"scale": 1.0, "lambda0": 0.0, "lambda1": 1.0, "capped": True}
+
+    monkeypatch.setattr(cli, "boundary_oracle", oracle)
+    out = tmp_path / "oracle.csv"
+    main(["boundary-oracle", "--rho0", "0.3", "--rho1", "0.6", "--horizon",
+          "100", "--angles", "90", "--out", str(out)])
+    header = [l for l in read_lines(out) if l.startswith("#")]
+    assert "# rho = 0.3, 0.6" in header
+    assert "# lambda = 0.0, 0.0" in header
+    assert "# horizon = 50000" in header
+    assert header == harness.header_lines(seen[0])
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--lambda"])
+def test_boundary_oracle_takes_no_network_flags(flag):
+    with pytest.raises(SystemExit) as info:
+        main(["boundary-oracle", "--rho0", "0.3", "--rho1", "0.6", flag,
+              "0.2,0.2"])
+    assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Flags and config files build configs through one parser.
+
+FLAG_OF_KEY = {"rho": "--rho", "lambda": "--lambda", "seed": "--seed",
+               "scheduler": "--scheduler", "horizon": "--horizon",
+               "n_seeds": "--seeds", "decision_mode": "--decision-mode"}
+
+
+@st.composite
+def configs(draw):
+    n_nodes = draw(st.integers(2, 4))
+    a_max = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+    positive = st.floats(1e-6, 10.0)
+    params = NetworkParams(
+        n_relays=n_nodes - 1,
+        rho=draw(st.tuples(*[unit] * n_nodes)),
+        lam=draw(st.tuples(*[st.floats(0.0, a_max)] * n_nodes)),
+        a_max=a_max, beta=draw(positive),
+        contention_window=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        activation_gain=draw(positive))
+    return ExperimentConfig(
+        params, scheduler=draw(st.sampled_from(SCHEDULER_KINDS)),
+        horizon=draw(st.integers(1, 10 ** 6)),
+        n_seeds=draw(st.integers(1, 50)),
+        decision_mode=draw(st.sampled_from(DECISION_MODES)))
+
+
+def cli_config(argv):
+    """The config `relaysim run` builds from argv, without running it."""
+    class Built(Exception):
+        pass
+
+    def capture(config):
+        raise Built(config)
+
+    with mock.patch.object(cli, "run_seeds", capture), \
+            pytest.raises(Built) as info:
+        main(["run"] + argv)
+    return replace(info.value.args[0], trace=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sets(st.sampled_from(sorted(FLAG_OF_KEY))))
+def test_header_round_trip_and_flags_equal_file_keys(config, flag_keys):
+    assert parse_config("\n".join(harness.header_lines(config, ""))) == config
+
+    items = harness.config_to_dict(config)
+    flags = []
+    for key in sorted(flag_keys):
+        flags += [f"{FLAG_OF_KEY[key]}={items.pop(key)}".replace(", ", ",")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+        assert cli_config(["-c", str(path)] + flags) == config

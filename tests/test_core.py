@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 from dataclasses import replace
 
@@ -250,3 +251,10 @@ class TestParamsValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             params_for((0.5, 0.5), seed=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lam", "beta", "activation_gain"])
+    def test_non_finite_rejected(self, field, value):
+        kw = {"lam": (0.1, value)} if field == "lam" else {field: value}
+        with pytest.raises(ValueError):
+            params_for((0.5, 0.5), **kw)

@@ -156,6 +156,12 @@ class TestSweep:
         rows = sweep_grid(cfg, [(0.1, 0.1), (2.0, 0.0)])
         assert "error" in rows[1] and "mean_q_avg" in rows[0]
 
+    def test_non_finite_point_reported_not_fatal(self):
+        cfg = make_config(horizon=400, n_seeds=1)
+        rows = sweep_grid(cfg, [(math.nan, 0.1), (0.1, 0.1), (0.1, math.inf)])
+        assert "error" in rows[0] and "error" in rows[2]
+        assert "mean_q_avg" in rows[1]
+
     def test_gamma_grid(self):
         grid = gamma_grid((0.4, 0.05, 0.05, 0.05), [0.0, 0.1, 0.2])
         assert grid[2] == pytest.approx((0.6, 0.05, 0.05, 0.05))
@@ -189,6 +195,32 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config("bogus = 3\n")
+
+    def test_empty_config_is_dataclass_defaults(self):
+        assert parse_config("") == ExperimentConfig(
+            NetworkParams(1, (0.4, 0.7), (0.0, 0.0)))
+
+    def test_relay_count_follows_rho(self):
+        cfg = parse_config("rho = 0.4, 0.7, 0.8, 0.7\n")
+        assert cfg.params.n_relays == 3
+        assert cfg.params.lam == (0.0,) * 4
+
+    def test_n_relays_without_rho_rejected(self):
+        with pytest.raises(ValueError, match=r"length N\+1 = 3, got 2"):
+            parse_config("n_relays = 2\n")
+
+    def test_overriding_rho_brings_its_relay_count(self):
+        cfg = parse_config("n_relays = 1\nrho = 0.4, 0.7\nseed = 4\n",
+                           {"rho": "0.4,0.7,0.8"})
+        assert cfg.params.n_relays == 2 and cfg.params.seed == 4
+
+    def test_lambda_of_other_length_than_rho_rejected(self):
+        with pytest.raises(ValueError, match=r"length N\+1 = 3, got 3 and 2"):
+            parse_config("lambda = 0.1, 0.1\n", {"rho": "0.4,0.7,0.8"})
+
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ValueError, match="^horizon: "):
+            parse_config("horizon = x\n")
 
     def test_header_lines_carry_seed(self):
         cfg = make_config(seed=123)
@@ -229,6 +261,21 @@ def test_oracle_rejects_off_quadrant_angle(angle):
     cfg = make_config(horizon=100, n_seeds=1, scheduler="mws")
     with pytest.raises(ValueError, match=r"angle must lie in \[0, 90\]"):
         boundary_oracle(0.4, 0.7, angle, cfg)
+
+
+def test_oracle_runs_its_oracle_config(monkeypatch):
+    from relaysim import harness
+
+    cfg = make_config(lam=(0.2, 0.2), horizon=100, n_seeds=1)
+    oracle = harness.oracle_config(0.3, 0.6, cfg)
+    assert oracle.params.rho == (0.3, 0.6)
+    assert oracle.params.lam == (0.0, 0.0)
+    assert oracle.horizon == 50_000
+    seen = []
+    monkeypatch.setattr(harness, "_majority_stable",
+                        lambda config, lam: seen.append(config) or True)
+    assert boundary_oracle(0.3, 0.6, 45.0, cfg)["capped"]
+    assert seen == [oracle]
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 99, 10_000, 10_001, 50_001])
