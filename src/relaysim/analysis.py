@@ -134,6 +134,47 @@ def check_detailed_balance(tm: TransitionMatrix, dist: StationaryDistribution) -
     return float(np.abs(flow - flow.T).max())
 
 
+def dtmc_check(trials, seed) -> dict:
+    """Check the product-form law on random per-realization chains.
+
+    For one and two relays and every channel realization, `trials` times:
+    draw activation probabilities in [0.05, 0.95] and an election
+    distribution with full support from numpy's default_rng(seed), solve the
+    chain and compare with product_form. The report gives the number of
+    chains, the worst stationary gap and detailed-balance residual, and
+    whether they lie below 1e-8 and 1e-10.
+    """
+    rng = np.random.default_rng(seed)
+    worst_gap = 0.0
+    worst_balance = 0.0
+    checks = 0
+    for n_relays in (1, 2):
+        n_nodes = n_relays + 1
+        for code in range(2 ** n_nodes):
+            channel = tuple((code >> i) & 1 for i in range(n_nodes))
+            nodes = chain_states(channel)[1:]
+            for _ in range(trials):
+                probs = {y: float(rng.uniform(0.05, 0.95)) for y in nodes}
+                weights = rng.uniform(0.1, 1.0, len(nodes) + 1)
+                weights /= weights.sum()
+                alpha = {IDLE: float(weights[0])}
+                alpha.update({y: float(w) for y, w in zip(nodes, weights[1:])})
+                tm = build_dtmc(channel, probs, alpha)
+                pi_hat = solve_stationary(tm)
+                pi = product_form(probs)
+                worst_gap = max(worst_gap,
+                                float(np.abs(pi_hat.pi - pi.pi).max()))
+                worst_balance = max(worst_balance,
+                                    check_detailed_balance(tm, pi_hat))
+                checks += 1
+    return {
+        "chains_checked": checks,
+        "max_product_form_gap": worst_gap,
+        "max_detailed_balance_violation": worst_balance,
+        "pass": bool(worst_gap < 1e-8 and worst_balance < 1e-10),
+    }
+
+
 def cycle_product(tm: TransitionMatrix, cycle) -> float:
     """Product of transition probabilities around a closed state cycle."""
     idx = [tm.index(s) for s in cycle]

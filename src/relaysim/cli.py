@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .core import IDLE
 from .harness import (DECISION_MODES, ExperimentConfig, aggregate_ci,
                       boundary_oracle, box_grid, config_to_dict, gamma_grid,
                       header_lines, oracle_config, parse_config, parse_floats,
@@ -59,11 +59,31 @@ def _output(args):
 
 @contextlib.contextmanager
 def _input_errors(args):
-    """Turn bad input (ValueError or OSError) into a one-line exit."""
+    """Turn bad input (ValueError or OSError) into a one-line exit. The
+    output paths (--out, --trace) are checked first, so a command that
+    cannot write its output fails before it computes anything."""
     try:
+        for flag in ("out", "trace"):
+            _require_writable(flag, getattr(args, flag, None))
         yield
     except (ValueError, OSError) as exc:
         raise SystemExit(f"relaysim {args.command}: {exc}") from None
+
+
+def _require_writable(flag, path):
+    """Reject the --`flag` output path unless it names a file that can be
+    created or overwritten; creates nothing."""
+    if path is None:
+        return
+    target = Path(path)
+    directory = target.parent
+    if not directory.is_dir():
+        raise ValueError(f"--{flag} {path}: directory {directory} does not "
+                         f"exist")
+    if target.is_dir():
+        raise ValueError(f"--{flag} {path}: is a directory")
+    if not os.access(target if target.exists() else directory, os.W_OK):
+        raise ValueError(f"--{flag} {path}: permission denied")
 
 
 def _require_count(name, value):
@@ -167,35 +187,7 @@ def cmd_dtmc_check(args):
         if args.seed < 0:
             raise ValueError(f"seed must be non-negative, got {args.seed}")
         _require_count("trials", args.trials)
-    rng = np.random.default_rng(args.seed)
-    worst_gap = 0.0
-    worst_balance = 0.0
-    checks = 0
-    for n_relays in (1, 2):
-        n_nodes = n_relays + 1
-        for code in range(2 ** n_nodes):
-            channel = tuple((code >> i) & 1 for i in range(n_nodes))
-            nodes = analysis.chain_states(channel)[1:]
-            for _ in range(args.trials):
-                probs = {y: float(rng.uniform(0.05, 0.95)) for y in nodes}
-                weights = rng.uniform(0.1, 1.0, len(nodes) + 1)
-                weights /= weights.sum()
-                alpha = {IDLE: float(weights[0])}
-                alpha.update({y: float(w) for y, w in zip(nodes, weights[1:])})
-                tm = analysis.build_dtmc(channel, probs, alpha)
-                pi_hat = analysis.solve_stationary(tm)
-                pi = analysis.product_form(probs)
-                worst_gap = max(worst_gap,
-                                float(np.abs(pi_hat.pi - pi.pi).max()))
-                worst_balance = max(
-                    worst_balance, analysis.check_detailed_balance(tm, pi_hat))
-                checks += 1
-    report = {
-        "chains_checked": checks,
-        "max_product_form_gap": worst_gap,
-        "max_detailed_balance_violation": worst_balance,
-        "pass": bool(worst_gap < 1e-8 and worst_balance < 1e-10),
-    }
+    report = analysis.dtmc_check(args.trials, args.seed)
     with _output(args) as out:
         json.dump(report, out, indent=2)
         out.write("\n")

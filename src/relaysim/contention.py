@@ -120,14 +120,24 @@ def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
     return [IDLE if i < 0 else i for i in winners]
 
 
+def sampler_options(channel) -> tuple:
+    """What sampled_decision draws from: Idle and the transmitters of
+    `channel`, in that order."""
+    return (IDLE,) + transmitters(channel)
+
+
+def sample_option(options, rng):
+    """One of `options`, uniformly, from one uniform of `rng`."""
+    k = min(int(rng.uniform() * len(options)), len(options) - 1)
+    return options[k]
+
+
 def sampled_decision(params: NetworkParams, channel, rng):
     """Analysis-mode decision: uniform over Idle and the feasible nodes.
 
     The channel-blind baseline passes params.all_on as the channel.
     """
-    options = (IDLE,) + transmitters(channel)
-    k = min(int(rng.uniform() * len(options)), len(options) - 1)
-    return options[k]
+    return sample_option(sampler_options(channel), rng)
 
 
 def decision_distribution(params: NetworkParams, channel) -> dict:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 # The idle schedule: nobody holds the data slot.
 IDLE = None
@@ -85,26 +85,56 @@ class NetworkParams:
         return (1,) * self.n_nodes
 
 
-class QueueState(NamedTuple):
-    """All backlogs at a slot boundary: Q_0, (Q_i), (Q_0i). Unit packets."""
+class QueueState(tuple):
+    """All backlogs at a slot boundary: Q_0, (Q_i), (Q_0i). Unit packets.
 
-    q0: int
-    q: tuple
-    q0i: tuple
+    Stored flat as one row [Q_0, Q_1..Q_N, Q_01..Q_0N], the layout of the
+    run loop's list of backlogs and of a lane's row in the lane engine, so
+    the scheduling rules and apply_slot index a QueueState and that list
+    alike: Q_i is row[i] and Q_0i is row[N + i].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q0, q, q0i):
+        return tuple.__new__(cls, (q0, *q, *q0i))
+
+    @classmethod
+    def from_row(cls, row):
+        """The state of a flat row [Q_0, Q_1..Q_N, Q_01..Q_0N]."""
+        return tuple.__new__(cls, row)
 
     @classmethod
     def empty(cls, n_relays):
-        return cls(0, (0,) * n_relays, (0,) * n_relays)
+        return tuple.__new__(cls, (0,) * (2 * n_relays + 1))
+
+    def __getnewargs__(self):
+        return self[0], self.q, self.q0i
+
+    def __repr__(self):
+        return f"QueueState(q0={self[0]}, q={self.q}, q0i={self.q0i})"
+
+    @property
+    def q0(self):
+        return self[0]
+
+    @property
+    def q(self):
+        return self[1:(len(self) >> 1) + 1]
+
+    @property
+    def q0i(self):
+        return self[(len(self) >> 1) + 1:]
 
     def total(self):
-        return self.q0 + sum(self.q) + sum(self.q0i)
+        return sum(self)
 
     def as_dict(self):
-        return {"q0": self.q0, "q": list(self.q), "q0i": list(self.q0i)}
+        return {"q0": self[0], "q": list(self.q), "q0i": list(self.q0i)}
 
 
 def validate_channel(params: NetworkParams, channel) -> None:
-    if len(channel) != params.n_nodes:
+    if len(channel) != params.n_relays + 1:
         raise ValueError(f"channel vector must have length {params.n_nodes}")
 
 
@@ -124,63 +154,65 @@ def feasible_schedules(params: NetworkParams, channel) -> set:
     return {IDLE, *transmitters(channel)}
 
 
-def relay_target(queues: QueueState) -> int:
+def relay_target(queues) -> int:
     """The relay i* node 0 forwards to: maximizes Q_0 - Q_0i (min backlog).
 
-    Ties break to the lowest node index.
+    Ties break to the lowest node index. `queues` is a QueueState or a flat
+    row in its layout.
     """
-    q0i = queues.q0i
-    best = 0
-    for j in range(1, len(q0i)):
-        if q0i[j] < q0i[best]:
-            best = j
-    return best + 1
+    n = len(queues) >> 1
+    best = n + 1
+    for k in range(n + 2, 2 * n + 1):
+        if queues[k] < queues[best]:
+            best = k
+    return best - n
 
 
-def apply_slot(queues: QueueState, transmission: Schedule, channel,
+def apply_slot(queues, transmission: Schedule, channel,
                arrivals: Sequence) -> tuple:
     """Advance the queues by one slot: serve `transmission`, then add arrivals.
 
-    Returns (new QueueState, served-queue tag). The tag names the queue that
-    actually lost a packet: "source-direct", "source-relayed-to-{i}",
-    "relay-{i}-own", "relay-{i}-forwarding", or "none". A scheduled node with
-    an empty queue holds the slot without transferring data (dummy packet);
-    in particular a forward from an empty Q_0 must not create a phantom
-    packet at the relay. A relay transmission with its channel OFF is
-    rejected: feasible schedulers never emit one.
+    `queues` is a QueueState or a flat list in its layout; it is left
+    unchanged. Returns (new state of the same kind, served-queue tag). The
+    tag names the queue that actually lost a packet: "source-direct",
+    "source-relayed-to-{i}", "relay-{i}-own", "relay-{i}-forwarding", or
+    "none". A scheduled node with an empty queue holds the slot without
+    transferring data (dummy packet); in particular a forward from an empty
+    Q_0 must not create a phantom packet at the relay. A relay transmission
+    with its channel OFF is rejected: feasible schedulers never emit one.
     """
-    q0, q, q0i = queues
+    row = list(queues)
+    n = len(row) >> 1
 
     tag = "none"
     if transmission == 0:
-        if q0 > 0:
+        if row[0] > 0:
+            row[0] -= 1
             if channel[0]:
-                q0 -= 1
                 tag = "source-direct"
             else:
-                target = relay_target(queues)
-                q0 -= 1
-                j = target - 1
-                q0i = q0i[:j] + (q0i[j] + 1,) + q0i[j + 1:]
+                target = relay_target(row)
+                row[n + target] += 1
                 tag = f"source-relayed-to-{target}"
     elif transmission is not IDLE:
         i = transmission
         if not channel[i]:
             raise ValueError(
                 f"relay {i} scheduled with its channel OFF (scheduler bug)")
-        j = i - 1
-        if q[j] >= q0i[j]:
-            if q[j] > 0:
-                q = q[:j] + (q[j] - 1,) + q[j + 1:]
+        if row[i] >= row[n + i]:
+            if row[i] > 0:
+                row[i] -= 1
                 tag = f"relay-{i}-own"
         else:
-            q0i = q0i[:j] + (q0i[j] - 1,) + q0i[j + 1:]
+            row[n + i] -= 1
             tag = f"relay-{i}-forwarding"
 
-    q0 += arrivals[0]
-    if any(arrivals[1:]):
-        q = tuple(qj + aj for qj, aj in zip(q, arrivals[1:]))
-    return QueueState(q0, q, q0i), tag
+    for node, a in enumerate(arrivals):
+        if a:
+            row[node] += a
+    if type(queues) is not list:
+        row = QueueState.from_row(row)
+    return row, tag
 
 
 @dataclass
@@ -210,18 +242,14 @@ class SlotRecord:
         """as_dict() as compact JSON (json.dumps with separators (",", ":")),
         formatted directly: every field is an int, None or a plain tag."""
         q = self.queues_after
-        return (f'{{"t":{self.t},"channel":[{_ints(self.channel)}],'
-                f'"decision":{_json_int(self.decision)},'
-                f'"transmission":{_json_int(self.transmission)},'
+        n = len(q) >> 1
+        d, x = self.decision, self.transmission
+        return (f'{{"t":{self.t},'
+                f'"channel":[{",".join(map(str, self.channel))}],'
+                f'"decision":{"null" if d is None else d},'
+                f'"transmission":{"null" if x is None else x},'
                 f'"served_queue":"{self.served_queue}",'
-                f'"arrivals":[{_ints(self.arrivals)}],'
-                f'"queues_after":{{"q0":{q.q0},"q":[{_ints(q.q)}],'
-                f'"q0i":[{_ints(q.q0i)}]}}}}')
-
-
-def _ints(values):
-    return ",".join(map(str, values))
-
-
-def _json_int(value):
-    return "null" if value is None else str(value)
+                f'"arrivals":[{",".join(map(str, self.arrivals))}],'
+                f'"queues_after":{{"q0":{q[0]},'
+                f'"q":[{",".join(map(str, q[1:n + 1]))}],'
+                f'"q0i":[{",".join(map(str, q[n + 1:]))}]}}}}')

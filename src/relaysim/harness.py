@@ -6,7 +6,11 @@ parallel sweep workers produce byte-identical results. Stability of a run is
 classified from the tail of the total-backlog trajectory.
 
 run_once is the reference engine, used by run_seeds, boundary_oracle and
-traced runs. sweep_grid runs all (grid point x seed) runs of a worker's
+traced runs. Its per-slot state is one list of ints in QueueState's flat
+layout, [Q_0, Q_1..Q_N, Q_01..Q_0N] (a lane's row in the lane engine), which
+the scheduling rules and core.apply_slot index as they index a QueueState;
+the scheduler's step is picked once per run, and the total backlog is a
+running sum. sweep_grid runs all (grid point x seed) runs of a worker's
 batch as lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per
 call), which advance them in numpy lockstep and give each the RunResult
 run_once gives, so sweep rows do not depend on the worker count.
@@ -24,7 +28,7 @@ import numpy as np
 from scipy import stats as _st
 
 from .analysis import ray_direction
-from .contention import elect_block, sampled_decision
+from .contention import elect_block, sample_option, sampler_options
 from .core import IDLE, NetworkParams, QueueState, SlotRecord, apply_slot
 from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
 from .scheduling import (SCHEDULER_KINDS, mws_step, qcsma_step, rqcsma_step,
@@ -138,6 +142,69 @@ def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
     )
 
 
+def _int_rows(block):
+    """The rows of a 2-D integer array as tuples of Python ints."""
+    return list(zip(*block.T.tolist()))
+
+
+def _slot_rule(config: ExperimentConfig, streams, memory):
+    """A run's scheduling rule, chosen once per run.
+
+    Returns (decide, step). decide(channel_block, channels) gives a block's
+    decision schedules: the backoff elections drawn as one block for rqcsma
+    and qcsma in contention mode. In sampler mode it gives a generator that
+    draws each slot's decision when the loop reaches the slot, before that
+    slot's activation coin, over the options of the slot's rule channel;
+    rqcsma looks them up in a table of the block's channel realizations.
+    step(row, channel, decision) applies the scheduler's per-slot rule to
+    the queue row and returns (decision, schedule); mws and ub decide by
+    their own rule, so their decision is the schedule.
+    """
+    params = config.params
+    scheduler = config.scheduler
+    backoffs, coins = streams.contention, streams.scheduler
+
+    if scheduler in ("mws", "ub"):
+        def decide(channel_block, channels):
+            return repeat(IDLE, len(channels))
+    elif config.decision_mode == "contention":
+        aware = scheduler == "rqcsma"
+
+        def decide(channel_block, channels):
+            return elect_block(params, backoffs, len(channels),
+                               channel_block if aware else None)
+    elif scheduler == "rqcsma":
+        def decide(channel_block, channels):
+            table = {c: sampler_options(c) for c in set(channels)}
+            return (sample_option(table[c], coins) for c in channels)
+    else:
+        blind_options = sampler_options(params.all_on)
+
+        def decide(channel_block, channels):
+            return (sample_option(blind_options, coins) for _ in channels)
+
+    if scheduler == "mws":
+        def step(row, channel, decision):
+            x = mws_step(row, channel, params)
+            return x, x
+    elif scheduler == "ub":
+        def step(row, channel, decision):
+            x = ub_step(row, channel, params, backoffs)
+            return x, x
+    elif scheduler == "rqcsma":
+        def step(row, channel, decision):
+            return decision, rqcsma_step(row, channel, memory, decision,
+                                         params, coins)
+    else:
+        held = IDLE
+
+        def step(row, channel, decision):
+            nonlocal held
+            held = qcsma_step(row, channel, held, decision, params, coins)
+            return decision, held
+    return decide, step
+
+
 def run_once(config: ExperimentConfig, seed) -> RunResult:
     """Execute one seeded run of `horizon` slots.
 
@@ -146,76 +213,60 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     keeps only the queue-dependent work. Each of those streams serves a fixed
     number of uniforms per slot (see rng), which makes a block draw equal to
     the same slots drawn one by one.
+
+    The queues are one list of ints, [Q_0, Q_1..Q_N, Q_01..Q_0N], which the
+    scheduling step and apply_slot index as they index a QueueState. The
+    scheduler's rule is chosen once per run (_slot_rule), and the total
+    backlog is kept as a running sum of arrivals minus deliveries. A
+    QueueState is built only for slot records.
     """
     params = config.params
     horizon = config.horizon
-    scheduler = config.scheduler
-    contention_mode = config.decision_mode == "contention"
-    elected = contention_mode and scheduler in ("rqcsma", "qcsma")
     trace = config.trace
 
     streams = RunStreams(seed)
-    ch_stream, ar_stream = streams.channels, streams.arrivals
-    ct_stream, sc_stream = streams.contention, streams.scheduler
-
-    queues = QueueState.empty(params.n_relays)
     memory = {}  # rqcsma: channel realization -> schedule of its last slot
-    prev_x = IDLE
+    decide, step = _slot_rule(config, streams, memory)
     seen_channels = set()
 
     slots = sample_slots(horizon)
     sampled = set(slots)
     totals = []
     records = []
-    acc = 0
+    row = [0] * (2 * params.n_relays + 1)
+    total = acc = 0
 
     for start in range(0, horizon, BLOCK_SLOTS):
         n_slots = min(BLOCK_SLOTS, horizon - start)
-        channel_block = sample_channel_matrix(params, ch_stream, n_slots)
-        channels = list(map(tuple, channel_block.tolist()))
-        arrivals_block = list(map(tuple, sample_arrival_matrix(
-            params, ar_stream, n_slots).tolist()))
+        channel_block = sample_channel_matrix(params, streams.channels,
+                                              n_slots)
+        channels = _int_rows(channel_block)
+        arrival_block = sample_arrival_matrix(params, streams.arrivals,
+                                              n_slots)
+        arrivals_block = _int_rows(arrival_block)
+        arrived = arrival_block.sum(axis=1).tolist()
         seen_channels.update(channels)
-        if elected:
-            decisions = elect_block(
-                params, ct_stream, n_slots,
-                channel_block if scheduler == "rqcsma" else None)
-        else:
-            decisions = repeat(IDLE, n_slots)
 
-        for t, channel, arrivals, decision in zip(
+        for t, channel, arrivals, n_arrived, decision in zip(
                 range(start, start + n_slots), channels, arrivals_block,
-                decisions):
-            if scheduler == "mws":
-                x = decision = mws_step(queues, channel, params)
-            elif scheduler == "rqcsma":
-                if not contention_mode:
-                    decision = sampled_decision(params, channel, sc_stream)
-                x = rqcsma_step(queues, channel, memory, decision, params,
-                                sc_stream)
-            elif scheduler == "qcsma":
-                if not contention_mode:
-                    decision = sampled_decision(params, params.all_on,
-                                                sc_stream)
-                x = prev_x = qcsma_step(queues, channel, prev_x, decision,
-                                        params, sc_stream)
-            else:  # ub: only backlogged nodes contend, so it stays per slot
-                x = decision = ub_step(queues, channel, params, ct_stream)
-
+                arrived, decide(channel_block, channels)):
+            decision, x = step(row, channel, decision)
             # Data plane: a blind scheduler holding an OFF relay wastes the
             # slot.
             x_data = x
             if x is not IDLE and x != 0 and not channel[x]:
                 x_data = IDLE
 
-            queues, tag = apply_slot(queues, x_data, channel, arrivals)
-            total = queues.total()
+            row, tag = apply_slot(row, x_data, channel, arrivals)
+            # Every tag but "none" and a forward to a relay is a delivery.
+            total += n_arrived - (tag != "none"
+                                  and not tag.startswith("source-relayed"))
             acc += total
             if t in sampled:
                 totals.append(total)
             if trace:
                 records.append(SlotRecord(t, channel, decision, x, tag,
-                                          arrivals, queues))
+                                          arrivals, QueueState.from_row(row)))
 
     return run_result(seed, params.lam, horizon, slots, totals, acc,
                       len(memory), len(seen_channels), records)

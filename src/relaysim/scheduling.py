@@ -19,6 +19,10 @@ allocations require; a log(1 + beta*x) weight's polynomial odds cannot
 realize them (see README). No scheduler reads NetworkParams.beta: mws is an
 argmax, which a monotone weight function such as log(1 + beta*x) leaves
 unchanged.
+
+Every rule reads the backlogs by index from a flat row [Q_0, Q_1..Q_N,
+Q_01..Q_0N]: a QueueState, or the list of ints run_once keeps, so the rule
+a test calls is the rule a run executes.
 """
 
 from __future__ import annotations
@@ -26,27 +30,28 @@ from __future__ import annotations
 import math
 
 from .contention import elect
-from .core import (IDLE, NetworkParams, QueueState, transmitters,
-                   validate_channel)
+from .core import IDLE, NetworkParams, validate_channel
 
 SCHEDULER_KINDS = ("mws", "rqcsma", "qcsma", "ub")
 
 
-def differential_backlog(queues: QueueState) -> int:
+def differential_backlog(queues) -> int:
     """Max over relays of Q_0 - Q_0i, floored at zero."""
-    return max(queues.q0 - min(queues.q0i), 0)
+    backlog = queues[0] - min(queues[(len(queues) >> 1) + 1:])
+    return backlog if backlog > 0 else 0
 
 
-def action_backlog(queues: QueueState, channel, node) -> int:
+def action_backlog(queues, channel, node) -> int:
     """The backlog behind the action `node` would perform under `channel`.
 
     Node 0 transmits its own queue when ON and forwards against the
     differential backlog when OFF; a relay serves the larger of its queues.
+    `queues` is a QueueState or a flat row in its layout.
     """
     if node == 0:
-        return queues.q0 if channel[0] else differential_backlog(queues)
-    j = node - 1
-    return max(queues.q[j], queues.q0i[j])
+        return queues[0] if channel[0] else differential_backlog(queues)
+    own, relayed = queues[node], queues[node + (len(queues) >> 1)]
+    return own if own >= relayed else relayed
 
 
 def activation_probability(omega):
@@ -54,19 +59,24 @@ def activation_probability(omega):
     return 1.0 / (1.0 + math.exp(-omega))
 
 
-def mws_step(queues: QueueState, channel, params: NetworkParams):
+def mws_step(queues, channel, params: NetworkParams):
     """Max-weight scheduling: the feasible node with the largest action
-    backlog, lowest index on ties, Idle when every backlog is zero."""
+    backlog, lowest index on ties, Idle when every backlog is zero.
+
+    The feasible nodes are core.transmitters(channel): node 0 and the ON
+    relays, visited in index order.
+    """
     validate_channel(params, channel)
     best, best_backlog = IDLE, 0
-    for i in transmitters(channel):
-        backlog = action_backlog(queues, channel, i)
-        if backlog > best_backlog:
-            best, best_backlog = i, backlog
+    for i, on in enumerate(channel):
+        if on or i == 0:
+            backlog = action_backlog(queues, channel, i)
+            if backlog > best_backlog:
+                best, best_backlog = i, backlog
     return best
 
 
-def _csma_step(queues: QueueState, channel, held, decision,
+def _csma_step(queues, channel, held, decision,
                params: NetworkParams, rng):
     """Carrier-sense transition shared by both CSMA schedulers.
 
@@ -86,7 +96,7 @@ def _csma_step(queues: QueueState, channel, held, decision,
     return IDLE
 
 
-def rqcsma_step(queues: QueueState, channel, memory: dict, decision,
+def rqcsma_step(queues, channel, memory: dict, decision,
                 params: NetworkParams, rng):
     """One channel-aware CSMA step; returns the schedule.
 
@@ -102,7 +112,7 @@ def rqcsma_step(queues: QueueState, channel, memory: dict, decision,
     return x
 
 
-def qcsma_step(queues: QueueState, channel, previous_x, decision,
+def qcsma_step(queues, channel, previous_x, decision,
                params: NetworkParams, rng):
     """One channel-blind CSMA step, keyed on the previous transmission.
 
@@ -114,7 +124,7 @@ def qcsma_step(queues: QueueState, channel, previous_x, decision,
                       rng)
 
 
-def ub_step(queues: QueueState, channel, params: NetworkParams, rng):
+def ub_step(queues, channel, params: NetworkParams, rng):
     """Uniform backoff: backlogged nodes draw from W values, unique minimum
     wins, ties collide into an idle slot.
 

@@ -443,3 +443,38 @@ def test_header_round_trip_and_flags_equal_file_keys(config, flag_keys):
         path = Path(tmp) / "exp.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
         assert cli_config(["-c", str(path)] + flags) == config
+
+
+@pytest.mark.parametrize("command,flag,entry", [
+    ("run", "--out", "run_seeds"), ("run", "--trace", "run_seeds"),
+    ("sweep", "--out", "sweep_grid"),
+    ("boundary-oracle", "--out", "boundary_oracle")])
+def test_unwritable_output_rejected_before_simulating(tmp_path, monkeypatch,
+                                                      command, flag, entry):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before checking its output path")
+
+    monkeypatch.setattr(cli, entry, simulate)
+    argv = [command, flag, str(tmp_path / "nodir" / "x")]
+    if command == "boundary-oracle":
+        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+    assert exit_message(argv) == (
+        f"relaysim {command}: {flag} {tmp_path / 'nodir' / 'x'}: directory "
+        f"{tmp_path / 'nodir'} does not exist")
+    assert exit_message([command, flag, str(tmp_path)] + argv[3:]) == (
+        f"relaysim {command}: {flag} {tmp_path}: is a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_exit_status(tmp_path):
+    src = Path(relaysim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim.cli", "run", "--horizon", "20000",
+         "--seeds", "3", "--out", "nodir/x.json"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "relaysim run: --out nodir/x.json: directory nodir does not exist"]
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,154 @@
+"""Per-slot cost table of relaysim's two engines, written to BENCH_scalar.json.
+
+    python tools/slot_cost.py [LABEL=SRC ...] [--out FILE]
+
+Each LABEL=SRC names a directory SRC holding a relaysim package (a
+checkout's `src/`); without any, the table covers this checkout as
+`this checkout`. Every package is imported side by side in this one
+process under its own name, and the packages take turns on every
+measurement, so a drift in host speed reaches them alike. The table holds
+the CPU time (time.process_time) of:
+
+- run_once: microseconds per slot for each scheduler at N = 1, 3 and 8
+  relays, horizon 2e4, contention decision mode;
+- lanes.run_lanes: nanoseconds per lane-slot for mws and rqcsma at N = 1,
+  horizon 1e4, with 3, 12, 24 and 48 lanes (one seed per lane).
+
+Each figure is the median of REPEATS turns.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 7
+SCHEDULERS = ("mws", "rqcsma", "qcsma", "ub")
+RELAYS = (1, 3, 8)
+SCALAR_HORIZON = 20_000
+LANE_COUNTS = (3, 12, 24, 48)
+LANE_SCHEDULERS = ("mws", "rqcsma")
+LANE_HORIZON = 10_000
+
+
+def load(name, src):
+    """The relaysim package under `src`, imported as module `name`."""
+    init = Path(src).resolve() / "relaysim" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.lanes")
+    return package
+
+
+def network(rs, n_relays):
+    """A network inside its rate region: half the load at the source."""
+    rho = (0.4, 0.7, 0.8, 0.7, 0.6, 0.9, 0.5, 0.75, 0.65)[:n_relays + 1]
+    lam = (0.3,) + (0.2 / n_relays,) * n_relays
+    return rs.NetworkParams(n_relays=n_relays, rho=rho, lam=lam)
+
+
+def take_turns(calls):
+    """Median CPU seconds of each call, the calls run in turn REPEATS
+    times."""
+    times = [[] for _ in calls]
+    for _ in range(REPEATS):
+        for call, spent in zip(calls, times):
+            t0 = time.process_time()
+            call()
+            spent.append(time.process_time() - t0)
+    return [statistics.median(spent) for spent in times]
+
+
+def run_once_call(rs, scheduler, n_relays):
+    config = rs.ExperimentConfig(params=network(rs, n_relays),
+                                 scheduler=scheduler,
+                                 horizon=SCALAR_HORIZON, n_seeds=1)
+    return lambda: rs.run_once(config, 1)
+
+
+def run_lanes_call(rs, scheduler, n_lanes):
+    params = network(rs, 1)
+    config = rs.ExperimentConfig(params=params, scheduler=scheduler,
+                                 horizon=LANE_HORIZON, n_seeds=1)
+    lanes = [(params.lam, seed) for seed in range(n_lanes)]
+    return lambda: list(rs.lanes.run_lanes(config, lanes))
+
+
+def measure(packages):
+    """{label: table} for the {label: package} given."""
+    tables = {label: {"run_once_us_per_slot": {},
+                      "run_lanes_ns_per_lane_slot": {}}
+              for label in packages}
+    for scheduler in SCHEDULERS:
+        for n_relays in RELAYS:
+            seconds = take_turns([run_once_call(rs, scheduler, n_relays)
+                                  for rs in packages.values()])
+            for label, s in zip(packages, seconds):
+                tables[label]["run_once_us_per_slot"].setdefault(
+                    scheduler, {})[str(n_relays)] = round(
+                        s / SCALAR_HORIZON * 1e6, 3)
+    for scheduler in LANE_SCHEDULERS:
+        for n_lanes in LANE_COUNTS:
+            seconds = take_turns([run_lanes_call(rs, scheduler, n_lanes)
+                                  for rs in packages.values()])
+            for label, s in zip(packages, seconds):
+                tables[label]["run_lanes_ns_per_lane_slot"].setdefault(
+                    scheduler, {})[str(n_lanes)] = round(
+                        s / (LANE_HORIZON * n_lanes) * 1e9)
+    return tables
+
+
+def host():
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    import numpy
+    return {"cpu": cpu, "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sources", nargs="*", metavar="LABEL=SRC",
+                        help="a label and the directory of its relaysim "
+                             "package")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_scalar.json"))
+    args = parser.parse_args(argv)
+
+    sources = dict(s.split("=", 1) for s in args.sources) or {
+        "this checkout": str(ROOT / "src")}
+    packages = {label: load(f"relaysim_{k}", src)
+                for k, (label, src) in enumerate(sources.items())}
+    doc = {
+        "host": host(),
+        "method": {
+            "clock": f"time.process_time, median of {REPEATS} turns; the "
+                     f"packages are imported in one process and take turns",
+            "run_once": f"us per slot, horizon {SCALAR_HORIZON}, contention "
+                        f"decision mode, seed 1, N = {list(RELAYS)}",
+            "run_lanes": f"ns per lane-slot, N = 1, horizon {LANE_HORIZON}, "
+                         f"lanes = {list(LANE_COUNTS)}",
+        },
+        "results": measure(packages),
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc["results"], indent=2))
+
+
+if __name__ == "__main__":
+    main()
