@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDLE, transmitters
+from .contention import sampler_options as chain_states
+from .core import IDLE
 
 _ROW_TOL = 1e-12
+_BOUNDARY_TOL = 1e-6  # scale width at which RateRegion2.boundary stops
 
 
 @dataclass
@@ -58,11 +60,6 @@ class StationaryDistribution:
 
     def prob(self, state):
         return float(self.pi[self.states.index(state)])
-
-
-def chain_states(channel):
-    """State space of the per-realization chain: Idle, node 0, ON relays."""
-    return (IDLE,) + transmitters(channel)
 
 
 def build_dtmc(channel, activation_probs: dict, alpha: dict) -> TransitionMatrix:
@@ -274,11 +271,11 @@ class RateRegion2:
                 and lambda0 + lambda1 < r0 + (1.0 - r0) * r1)
         return low or high
 
-    def boundary(self, angle_deg, tol=1e-6):
+    def boundary(self, angle_deg):
         """Boundary point on the ray at angle_deg from the lambda0 axis."""
         ux, uy = ray_direction(angle_deg)
         lo, hi = 0.0, 3.0
-        while hi - lo > tol:
+        while hi - lo > _BOUNDARY_TOL:
             mid = 0.5 * (lo + hi)
             if self.contains(mid * ux, mid * uy):
                 lo = mid

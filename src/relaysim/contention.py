@@ -122,7 +122,8 @@ def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
 
 def sampler_options(channel) -> tuple:
     """What sampled_decision draws from: Idle and the transmitters of
-    `channel`, in that order."""
+    `channel`, in that order; also the per-realization chain's states
+    (analysis.chain_states)."""
     return (IDLE,) + transmitters(channel)
 
 

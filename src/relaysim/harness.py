@@ -25,7 +25,7 @@ from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import stdtrit
 
 from .analysis import ray_direction
 from .contention import elect_block, sample_option, sampler_options
@@ -48,6 +48,7 @@ BLOCK_SLOTS = 1024
 # (about 0.1 MB per lane at horizon 1e4), while the per-lane cost has
 # leveled off well below it.
 MAX_BATCH_LANES = 256
+CI_LEVEL = 0.90  # level of aggregate_ci's two-sided Student-t interval
 
 
 @dataclass
@@ -154,8 +155,8 @@ def _slot_rule(config: ExperimentConfig, streams, memory):
     decision schedules: the backoff elections drawn as one block for rqcsma
     and qcsma in contention mode. In sampler mode it gives a generator that
     draws each slot's decision when the loop reaches the slot, before that
-    slot's activation coin, over the options of the slot's rule channel;
-    rqcsma looks them up in a table of the block's channel realizations.
+    slot's activation coin, from a per-block table of the options of each
+    rule channel: the realized channel for rqcsma, params.all_on for qcsma.
     step(row, channel, decision) applies the scheduler's per-slot rule to
     the queue row and returns (decision, schedule); mws and ub decide by
     their own rule, so their decision is the schedule.
@@ -164,24 +165,19 @@ def _slot_rule(config: ExperimentConfig, streams, memory):
     scheduler = config.scheduler
     backoffs, coins = streams.contention, streams.scheduler
 
+    aware = scheduler == "rqcsma"
     if scheduler in ("mws", "ub"):
         def decide(channel_block, channels):
             return repeat(IDLE, len(channels))
     elif config.decision_mode == "contention":
-        aware = scheduler == "rqcsma"
-
         def decide(channel_block, channels):
             return elect_block(params, backoffs, len(channels),
                                channel_block if aware else None)
-    elif scheduler == "rqcsma":
-        def decide(channel_block, channels):
-            table = {c: sampler_options(c) for c in set(channels)}
-            return (sample_option(table[c], coins) for c in channels)
     else:
-        blind_options = sampler_options(params.all_on)
-
         def decide(channel_block, channels):
-            return (sample_option(blind_options, coins) for _ in channels)
+            rules = channels if aware else [params.all_on] * len(channels)
+            table = {c: sampler_options(c) for c in set(rules)}
+            return (sample_option(table[c], coins) for c in rules)
 
     if scheduler == "mws":
         def step(row, channel, decision):
@@ -272,21 +268,23 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
                       len(memory), len(seen_channels), records)
 
 
-def run_seeds(config: ExperimentConfig, seeds=None):
-    """Run the configured number of seeds (base seed + k by default).
+def run_seeds(config: ExperimentConfig):
+    """Run the configured number of seeds: base seed + k for k < n_seeds.
 
     With config.trace only the first run keeps its slot records (a trace is
     one sample path; every seed's would cost seeds x horizon records).
     """
-    if seeds is None:
-        seeds = [config.params.seed + k for k in range(config.n_seeds)]
     untraced = replace(config, trace=False)
-    return [run_once(config if k == 0 else untraced, s)
-            for k, s in enumerate(seeds)]
+    return [run_once(config if k == 0 else untraced, config.params.seed + k)
+            for k in range(config.n_seeds)]
 
 
-def aggregate_ci(values, level=0.90):
-    """Student-t confidence interval on per-seed values: (mean, half-width)."""
+def aggregate_ci(values):
+    """Student-t confidence interval on per-seed values: (mean, half-width).
+
+    The level is fixed at CI_LEVEL, 90%. The quantile is scipy.special's
+    stdtrit, which scipy.stats.t.ppf calls, so no scipy.stats is imported.
+    """
     values = list(values)
     n = len(values)
     if n < 2:
@@ -295,7 +293,7 @@ def aggregate_ci(values, level=0.90):
     sd = float(np.std(values, ddof=1))
     if sd == 0.0:
         return mean, 0.0
-    t = float(_st.t.ppf(0.5 + level / 2.0, n - 1))
+    t = float(stdtrit(n - 1, 0.5 + CI_LEVEL / 2.0))
     return mean, t * sd / math.sqrt(n)
 
 
@@ -329,7 +327,6 @@ def _sweep_batch(args):
     from .lanes import run_lanes  # lanes builds on this module
 
     config, points = args
-    config = replace(config, trace=False)
     seeds = [config.params.seed + k for k in range(config.n_seeds)]
     lanes = [(lam, s) for _, lam in points for s in seeds]
     n_calls = max(1, -(-len(lanes) // MAX_BATCH_LANES))
@@ -406,8 +403,12 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
 
     A scale is inside iff the majority of seeds classify stable at horizon
     >= 5e4. Independent of the closed-form region; used to validate it. An
-    angle outside [0, 90] degrees raises ValueError.
+    angle outside [0, 90] degrees, or a resolution that is not a positive
+    finite number, raises ValueError.
     """
+    if not 0.0 < resolution < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"resolution must be a positive finite number, "
+                         f"got {resolution:g}")
     ux, uy = ray_direction(angle_deg)
     config = oracle_config(rho0, rho1, config)
 

@@ -478,3 +478,15 @@ def test_unwritable_output_exit_status(tmp_path):
     assert proc.stderr.strip().splitlines() == [
         "relaysim run: --out nodir/x.json: directory nodir does not exist"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # scipy.stats would double the start-up of every command and pool worker
+    src = Path(relaysim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, relaysim, relaysim.cli; print(sorted(m for m in "
+         "sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.strip() == "[]"

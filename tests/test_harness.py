@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
@@ -68,6 +69,17 @@ class TestAggregateCi:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             aggregate_ci([1.0])
+
+    def test_equals_scipy_stats_interval(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(2017)
+        for n in range(2, 501):
+            values = rng.exponential(3.0, n).tolist()
+            sd = float(np.std(values, ddof=1))
+            t = float(stats.t.ppf(0.5 + 0.90 / 2.0, n - 1))
+            half = t * sd / math.sqrt(n)
+            assert aggregate_ci(values) == (float(np.mean(values)), half)
 
 
 class TestRunOnce:
@@ -261,6 +273,21 @@ def test_oracle_rejects_off_quadrant_angle(angle):
     cfg = make_config(horizon=100, n_seeds=1, scheduler="mws")
     with pytest.raises(ValueError, match=r"angle must lie in \[0, 90\]"):
         boundary_oracle(0.4, 0.7, angle, cfg)
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0,
+                                        -0.01])
+def test_oracle_rejects_bad_resolution(resolution, monkeypatch):
+    from relaysim import harness
+
+    def probe(config, lam):
+        raise AssertionError("no run before the resolution is checked")
+
+    monkeypatch.setattr(harness, "_majority_stable", probe)
+    cfg = make_config(horizon=100, n_seeds=1, scheduler="mws")
+    with pytest.raises(ValueError, match="resolution must be a positive "
+                                         "finite number"):
+        boundary_oracle(0.4, 0.7, 30.0, cfg, resolution=resolution)
 
 
 def test_oracle_runs_its_oracle_config(monkeypatch):

@@ -14,7 +14,10 @@ the CPU time (time.process_time) of:
 - lanes.run_lanes: nanoseconds per lane-slot for mws and rqcsma at N = 1,
   horizon 1e4, with 3, 12, 24 and 48 lanes (one seed per lane).
 
-Each figure is the median of REPEATS turns.
+Each figure is the median of REPEATS turns. A start-up table, measured in
+REPEATS fresh processes per package (the packages again take turns), holds
+the wall time of `import relaysim.cli` and the peak RSS of the process that
+made it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -85,6 +89,35 @@ def run_lanes_call(rs, scheduler, n_lanes):
     return lambda: list(rs.lanes.run_lanes(config, lanes))
 
 
+# Run in a fresh interpreter with PYTHONPATH set to a package's directory:
+# prints the wall seconds of `import relaysim.cli` and the peak RSS in MB.
+STARTUP_PROBE = """\
+import resource, time
+t0 = time.perf_counter()
+import relaysim.cli
+seconds = time.perf_counter() - t0
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def startup(sources):
+    """{label: start-up table} for the {label: package directory} given."""
+    samples = {label: [] for label in sources}
+    for _ in range(REPEATS):
+        for label, src in sources.items():
+            env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+            out = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+                                 env=env, check=True, capture_output=True,
+                                 text=True).stdout.split()
+            samples[label].append([float(v) for v in out])
+    tables = {}
+    for label, runs in samples.items():
+        seconds, rss = zip(*runs)
+        tables[label] = {"import_cli_s": round(statistics.median(seconds), 3),
+                         "peak_rss_mb": round(statistics.median(rss), 1)}
+    return tables
+
+
 def measure(packages):
     """{label: table} for the {label: package} given."""
     tables = {label: {"run_once_us_per_slot": {},
@@ -132,6 +165,7 @@ def main(argv=None):
 
     sources = dict(s.split("=", 1) for s in args.sources) or {
         "this checkout": str(ROOT / "src")}
+    started = startup(sources)
     packages = {label: load(f"relaysim_{k}", src)
                 for k, (label, src) in enumerate(sources.items())}
     doc = {
@@ -143,9 +177,14 @@ def main(argv=None):
                         f"decision mode, seed 1, N = {list(RELAYS)}",
             "run_lanes": f"ns per lane-slot, N = 1, horizon {LANE_HORIZON}, "
                          f"lanes = {list(LANE_COUNTS)}",
+            "startup": f"wall seconds of `import relaysim.cli` and peak RSS "
+                       f"(ru_maxrss) of a fresh process, median of {REPEATS} "
+                       f"processes per package, taking turns",
         },
         "results": measure(packages),
     }
+    for label, table in started.items():
+        doc["results"][label]["startup"] = table
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["results"], indent=2))
 
