@@ -23,7 +23,6 @@ from .contention import sampler_options as chain_states
 from .core import IDLE
 
 _ROW_TOL = 1e-12
-_BOUNDARY_TOL = 1e-6  # scale width at which RateRegion2.boundary stops
 
 
 @dataclass
@@ -240,16 +239,20 @@ def ray_direction(angle_deg):
 
 @dataclass(frozen=True)
 class RateRegion2:
-    """Closed-form achievable rate region of the one-relay network.
-
-    For rho1 < 1/2 the region is
-        lambda1 < rho1  and  lambda0 + lambda1 < rho0 + rho1*(1 - rho0);
-    for rho1 >= 1/2 it is the union of
-        lambda1 < (1-rho0)*(2*rho1 - 1)  and  2*lambda0 + lambda1 < 1 + rho0
-    with
-        (1-rho0)*(2*rho1-1) <= lambda1 < rho1  and
-        lambda0 + lambda1 < rho0 + (1-rho0)*rho1.
-    All inequalities strict on the outer boundary.
+    """Closed-form achievable rate region of the one-relay network, the
+    capacity region that max-weight scheduling stabilizes (Tassiulas &
+    Ephremides 1992): three strict half-planes, `faces`, each (a0, a1, b)
+    meaning a0*lambda0 + a1*lambda1 < b:
+        lambda1 < rho1,
+        lambda0 + lambda1 < c = rho0 + rho1*(1 - rho0),
+        2*lambda0 + lambda1 < 1 + rho0.
+    For rho1 < 1/2 the third face is implied by the others:
+    2*lambda0 + lambda1 < 2c - lambda1 <= 2c <= 1 + rho0. For rho1 >= 1/2
+    the second and third lines meet at the knee
+    lambda1 = (1 - rho0)*(2*rho1 - 1) <= rho1. Below it the third face
+    implies the others (lambda0 + lambda1 < (1 + rho0 + knee)/2 = c), and
+    at or above it the second implies the third
+    (2*lambda0 + lambda1 < 2c - knee = 1 + rho0).
     """
 
     rho0: float
@@ -259,29 +262,29 @@ class RateRegion2:
         if not (0.0 <= self.rho0 <= 1.0 and 0.0 <= self.rho1 <= 1.0):
             raise ValueError("rho0 and rho1 must lie in [0, 1]")
 
+    @property
+    def faces(self):
+        r0, r1 = self.rho0, self.rho1
+        return ((0.0, 1.0, r1), (1.0, 1.0, r0 + r1 * (1.0 - r0)),
+                (2.0, 1.0, 1.0 + r0))
+
     def contains(self, lambda0, lambda1) -> bool:
         if lambda0 < 0 or lambda1 < 0:
             raise ValueError("rates must be non-negative")
-        r0, r1 = self.rho0, self.rho1
-        if r1 < 0.5:
-            return lambda1 < r1 and lambda0 + lambda1 < r0 + r1 * (1.0 - r0)
-        knee = (1.0 - r0) * (2.0 * r1 - 1.0)
-        low = lambda1 < knee and 2.0 * lambda0 + lambda1 < 1.0 + r0
-        high = (knee <= lambda1 < r1
-                and lambda0 + lambda1 < r0 + (1.0 - r0) * r1)
-        return low or high
+        return all(a0 * lambda0 + a1 * lambda1 < b for a0, a1, b in self.faces)
 
     def boundary(self, angle_deg):
-        """Boundary point on the ray at angle_deg from the lambda0 axis."""
+        """Boundary point on the ray u at angle_deg from the lambda0 axis, at
+        scale min b / (a.u) over the faces with a.u > 0. A face parallel to
+        the ray with b <= 0 (rho1 = 0, angle 0) makes the scale 0."""
         ux, uy = ray_direction(angle_deg)
-        lo, hi = 0.0, 3.0
-        while hi - lo > _BOUNDARY_TOL:
-            mid = 0.5 * (lo + hi)
-            if self.contains(mid * ux, mid * uy):
-                lo = mid
-            else:
-                hi = mid
-        scale = 0.5 * (lo + hi)
+        scale = math.inf
+        for a0, a1, b in self.faces:
+            slope = a0 * ux + a1 * uy
+            if slope > 0:
+                scale = min(scale, b / slope)
+            elif b <= 0:
+                scale = 0.0
         return scale * ux, scale * uy
 
 

@@ -22,13 +22,13 @@ from .scheduling import SCHEDULER_KINDS
 
 # The common flags, each replacing a config key: flag -> (key, options).
 _CONFIG_FLAGS = {
-    "--scheduler": ("scheduler", {"choices": SCHEDULER_KINDS}),
+    "--scheduler": ("scheduler", {"help": ", ".join(SCHEDULER_KINDS)}),
     "--rho": ("rho", {"help": "comma-separated ON probabilities"}),
     "--lambda": ("lambda", {"help": "comma-separated arrival rates"}),
     "--horizon": ("horizon", {}),
     "--seed": ("seed", {}),
     "--seeds": ("n_seeds", {"help": "number of sample paths"}),
-    "--decision-mode": ("decision_mode", {"choices": DECISION_MODES}),
+    "--decision-mode": ("decision_mode", {"help": ", ".join(DECISION_MODES)}),
 }
 
 
@@ -127,7 +127,7 @@ def cmd_sweep(args):
         _require_count("workers", args.workers)
         _require_count("grid", args.grid)
         n_nodes = config.params.n_nodes
-        if args.gamma:
+        if args.gamma is not None:
             grid = gamma_grid(config.params.lam, parse_floats(args.gamma))
         elif n_nodes > 2:
             raise ValueError(f"a box sweep needs 2 rates (one relay), not "

@@ -9,8 +9,8 @@ run_once is the reference engine, used by run_seeds, boundary_oracle and
 traced runs. Its per-slot state is one list of ints in QueueState's flat
 layout, [Q_0, Q_1..Q_N, Q_01..Q_0N] (a lane's row in the lane engine), which
 the scheduling rules and core.apply_slot index as they index a QueueState;
-the scheduler's step is picked once per run, and the total backlog is a
-running sum. sweep_grid runs all (grid point x seed) runs of a worker's
+the scheduler's step is picked once per run, and the total backlog is the
+row's sum. sweep_grid runs all (grid point x seed) runs of a worker's
 batch as lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per
 call), which advance them in numpy lockstep and give each the RunResult
 run_once gives, so sweep rows do not depend on the worker count.
@@ -213,8 +213,8 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     The queues are one list of ints, [Q_0, Q_1..Q_N, Q_01..Q_0N], which the
     scheduling step and apply_slot index as they index a QueueState. The
     scheduler's rule is chosen once per run (_slot_rule), and the total
-    backlog is kept as a running sum of arrivals minus deliveries. A
-    QueueState is built only for slot records.
+    backlog is the row's sum after each slot. A QueueState is built only
+    for slot records.
     """
     params = config.params
     horizon = config.horizon
@@ -230,22 +230,20 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     totals = []
     records = []
     row = [0] * (2 * params.n_relays + 1)
-    total = acc = 0
+    acc = 0
 
     for start in range(0, horizon, BLOCK_SLOTS):
         n_slots = min(BLOCK_SLOTS, horizon - start)
         channel_block = sample_channel_matrix(params, streams.channels,
                                               n_slots)
         channels = _int_rows(channel_block)
-        arrival_block = sample_arrival_matrix(params, streams.arrivals,
-                                              n_slots)
-        arrivals_block = _int_rows(arrival_block)
-        arrived = arrival_block.sum(axis=1).tolist()
+        arrivals_block = _int_rows(sample_arrival_matrix(
+            params, streams.arrivals, n_slots))
         seen_channels.update(channels)
 
-        for t, channel, arrivals, n_arrived, decision in zip(
+        for t, channel, arrivals, decision in zip(
                 range(start, start + n_slots), channels, arrivals_block,
-                arrived, decide(channel_block, channels)):
+                decide(channel_block, channels)):
             decision, x = step(row, channel, decision)
             # Data plane: a blind scheduler holding an OFF relay wastes the
             # slot.
@@ -254,9 +252,7 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
                 x_data = IDLE
 
             row, tag = apply_slot(row, x_data, channel, arrivals)
-            # Every tag but "none" and a forward to a relay is a delivery.
-            total += n_arrived - (tag != "none"
-                                  and not tag.startswith("source-relayed"))
+            total = sum(row)
             acc += total
             if t in sampled:
                 totals.append(total)
@@ -306,19 +302,14 @@ def stable_fraction(results):
 def _sweep_row(index, lam, results):
     """One sweep row from a point's per-seed results, in seed order."""
     q_avgs = [r.q_avg for r in results]
-    finals = [r.final_total for r in results]
-    row = {
+    return {
         "index": index,
         "lam": tuple(lam),
         "mean_q_avg": float(np.mean(q_avgs)),
-        "mean_final": float(np.mean(finals)),
+        "mean_final": float(np.mean([r.final_total for r in results])),
         "stable_fraction": stable_fraction(results),
+        "ci_half": aggregate_ci(q_avgs)[1] if len(results) >= 2 else 0.0,
     }
-    if len(results) >= 2:
-        row["ci_half"] = aggregate_ci(q_avgs)[1]
-    else:
-        row["ci_half"] = 0.0
-    return row
 
 
 def _sweep_batch(args):
@@ -417,10 +408,9 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
               default=2.0)
     cap = min(cap, 2.0) - 1e-9
 
-    if _majority_stable(config, (cap * ux, cap * uy)):
-        return {"angle_deg": angle_deg, "scale": cap, "lambda0": cap * ux,
-                "lambda1": cap * uy, "capped": True}
-    lo, hi = 0.0, cap
+    # A stable cap leaves no interval to bisect: the scale is the cap.
+    capped = _majority_stable(config, (cap * ux, cap * uy))
+    lo, hi = (cap if capped else 0.0), cap
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if _majority_stable(config, (mid * ux, mid * uy)):
@@ -429,15 +419,18 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
             hi = mid
     scale = 0.5 * (lo + hi)
     return {"angle_deg": angle_deg, "scale": scale, "lambda0": scale * ux,
-            "lambda1": scale * uy, "capped": False}
+            "lambda1": scale * uy, "capped": capped}
 
 
 # ---------------------------------------------------------------------------
 # Flat key=value config files and output headers.
 
 def parse_floats(text):
-    """A comma- or space-separated list of floats."""
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    """A comma- or space-separated list of at least one float."""
+    values = tuple(float(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError(f"expected a list of numbers, got {text!r}")
+    return values
 
 
 # Config key -> (NetworkParams or ExperimentConfig field, value parser), in
@@ -483,7 +476,10 @@ def parse_config(text, overrides=None) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"line {lineno}: {key} is given twice")
+        raw[key] = value.strip()
     overrides = overrides or {}
     if "rho" in overrides:
         raw.pop("n_relays", None)

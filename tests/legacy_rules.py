@@ -6,12 +6,18 @@ contention.elect, and ranks mws candidates by action backlog instead of
 log(1 + beta*x) weights. These copies of the separate implementations they
 replaced are the references that tests/test_rule_equivalence.py holds the
 merged rules to, decision for decision and uniform for uniform.
+
+RateRegion2 is the one-relay rate region as written before it became one
+polytope: two cases split at rho1 = 1/2 and a bisection for the boundary.
+tests/test_rule_equivalence.py holds analysis.RateRegion2 to it.
 """
 
 import math
+from dataclasses import dataclass
 
 from relaysim import IDLE
 from relaysim.core import feasible_schedules
+from relaysim.analysis import ray_direction
 from relaysim.scheduling import action_backlog, activation_probability
 
 
@@ -155,3 +161,41 @@ def ub_step(queues, channel, params, rng):
         elif draw == best:
             collided = True
     return IDLE if collided else winner
+
+
+@dataclass(frozen=True)
+class RateRegion2:
+    """The one-relay rate region. For rho1 < 1/2 it is
+        lambda1 < rho1  and  lambda0 + lambda1 < rho0 + rho1*(1 - rho0);
+    for rho1 >= 1/2 it is the union of
+        lambda1 < (1-rho0)*(2*rho1 - 1)  and  2*lambda0 + lambda1 < 1 + rho0
+    with
+        (1-rho0)*(2*rho1-1) <= lambda1 < rho1  and
+        lambda0 + lambda1 < rho0 + (1-rho0)*rho1.
+    """
+
+    rho0: float
+    rho1: float
+
+    def contains(self, lambda0, lambda1) -> bool:
+        r0, r1 = self.rho0, self.rho1
+        if r1 < 0.5:
+            return lambda1 < r1 and lambda0 + lambda1 < r0 + r1 * (1.0 - r0)
+        knee = (1.0 - r0) * (2.0 * r1 - 1.0)
+        low = lambda1 < knee and 2.0 * lambda0 + lambda1 < 1.0 + r0
+        high = (knee <= lambda1 < r1
+                and lambda0 + lambda1 < r0 + (1.0 - r0) * r1)
+        return low or high
+
+    def boundary(self, angle_deg):
+        """Bisection on contains along the ray, to a scale width of 1e-6."""
+        ux, uy = ray_direction(angle_deg)
+        lo, hi = 0.0, 3.0
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if self.contains(mid * ux, mid * uy):
+                lo = mid
+            else:
+                hi = mid
+        scale = 0.5 * (lo + hi)
+        return scale * ux, scale * uy

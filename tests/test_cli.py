@@ -490,3 +490,52 @@ def test_cli_import_loads_no_scipy_stats():
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("text", [",", ""])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--horizon", "100", "--gamma"],
+    ["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles"]])
+def test_empty_rate_or_angle_list_rejected(tmp_path, argv, text):
+    out = tmp_path / "out.csv"
+    assert exit_message(argv + [text, "--out", str(out)]) == (
+        f"relaysim {argv[0]}: expected a list of numbers, got {text!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_key_given_twice_rejected(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 1\nseed = 2\n")
+    out = tmp_path / "out.json"
+    assert exit_message(["run", "-c", str(cfg), "--out", str(out)]) == (
+        "relaysim run: line 2: seed is given twice")
+    assert not out.exists()
+    # a flag still replaces the file's key
+    assert parse_config("seed = 1\n", {"seed": "2"}).params.seed == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "boundary-oracle"])
+@pytest.mark.parametrize("flag,key,value,message", [
+    ("--scheduler", "scheduler", "foo",
+     "scheduler must be one of ('mws', 'rqcsma', 'qcsma', 'ub')"),
+    ("--decision-mode", "decision_mode", "x",
+     "decision_mode must be one of ('contention', 'sampler')")])
+def test_bad_scheduler_or_decision_mode_rejected_like_a_config_key(
+        tmp_path, command, flag, key, value, message):
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "boundary-oracle":
+        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    expected = f"relaysim {command}: {message}"
+    assert exit_message(argv + [flag, value]) == expected
+    assert exit_message(argv + ["-c", str(cfg)]) == expected
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_help_lists_schedulers_and_decision_modes(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(SCHEDULER_KINDS) in text
+    assert ", ".join(DECISION_MODES) in text

@@ -4,15 +4,19 @@ Every channel-blind path is its channel-aware rule under an all-ON channel,
 and every backoff election runs through contention.elect. Each must equal
 the old code in tests/legacy_rules.py decision for decision and leave its
 stream at the same position; mws must pick what the old log(1 + beta*x)
-weight argmax picked.
+weight argmax picked. The one-relay rate region must agree with its old
+two-case form off its faces, and its boundary with the old bisection.
 """
+
+import itertools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_rules as legacy
-from relaysim import IDLE, NetworkParams, QueueState
+from relaysim import IDLE, NetworkParams, QueueState, RateRegion2
 from relaysim.contention import (blind_decision, elect_block, run_contention,
                                  sampled_decision)
 from relaysim.rng import RngStream, sample_channels
@@ -172,3 +176,43 @@ def test_ub_step_equals_old_uniform_backoff(data, seed, n_relays, window):
         assert (ub_step(queues, channel, params, new)
                 == legacy.ub_step(queues, channel, params, old))
     assert_same_position(new, old)
+
+
+# ---------------------------------------------------------------------------
+# The one-relay rate region: three half-planes against the two-case form.
+
+REGION_RHO0 = (0.0, 0.1, 0.2, 0.4, 0.5, 0.7, 0.9, 1.0)
+REGION_RHO1 = (0.0, 0.2, 0.4, 0.5 - 1e-6, 0.5, 0.5 + 1e-6, 0.7, 0.95, 1.0)
+REGION_RHOS = list(itertools.product(REGION_RHO0, REGION_RHO1))
+REGION_RATES = np.linspace(0.0, 1.2, 121).tolist()
+
+
+def on_a_face(region, lambda0, lambda1):
+    return any(abs(a0 * lambda0 + a1 * lambda1 - b) < 1e-12
+               for a0, a1, b in region.faces)
+
+
+def test_region_contains_equals_two_case_form():
+    for rho in REGION_RHOS:
+        new, old = RateRegion2(*rho), legacy.RateRegion2(*rho)
+        for l0, l1 in itertools.product(REGION_RATES, REGION_RATES):
+            if not on_a_face(new, l0, l1):
+                assert new.contains(l0, l1) == old.contains(l0, l1), (
+                    rho, l0, l1)
+
+
+def test_region_boundary_equals_bisection():
+    # the bisection stops at a scale width of 1e-6 and returns the midpoint
+    for rho in REGION_RHOS:
+        new, old = RateRegion2(*rho), legacy.RateRegion2(*rho)
+        for angle in np.linspace(0.0, 90.0, 91).tolist():
+            assert math.dist(new.boundary(angle),
+                             old.boundary(angle)) < 4e-7, (rho, angle)
+
+
+def test_region_without_relay_channel_is_empty_on_the_lambda0_axis():
+    # rho1 = 0: the face lambda1 < 0 runs parallel to the lambda0 axis
+    for rho0 in REGION_RHO0:
+        region = RateRegion2(rho0, 0.0)
+        assert region.boundary(0.0) == (0.0, 0.0)
+        assert not any(region.contains(x, 0.0) for x in REGION_RATES)
