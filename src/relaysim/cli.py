@@ -121,20 +121,32 @@ def cmd_run(args):
         out.write("\n")
 
 
+# The flags that shape a box sweep, by argparse dest, with their defaults.
+_BOX_FLAGS = {"grid": 17, "l0_max": 0.8, "l1_max": 0.8}
+
+
 def cmd_sweep(args):
     with _input_errors(args):
         config = _load_config(args)
         _require_count("workers", args.workers)
-        _require_count("grid", args.grid)
         n_nodes = config.params.n_nodes
+        box = {dest: getattr(args, dest) for dest in _BOX_FLAGS}
         if args.gamma is not None:
+            for dest, value in box.items():
+                if value is not None:
+                    raise ValueError(f"--{dest.replace('_', '-')} shapes a "
+                                     f"box sweep; a --gamma sweep does not "
+                                     f"take it")
             grid = gamma_grid(config.params.lam, parse_floats(args.gamma))
         elif n_nodes > 2:
             raise ValueError(f"a box sweep needs 2 rates (one relay), not "
                              f"{n_nodes}; use --gamma to sweep a network "
                              f"with more relays")
         else:
-            grid = box_grid(args.grid, args.l0_max, args.l1_max)
+            box = {dest: _BOX_FLAGS[dest] if value is None else value
+                   for dest, value in box.items()}
+            _require_count("grid", box["grid"])
+            grid = box_grid(*box.values())
     rows = sweep_grid(config, grid, workers=args.workers)
     lambdas = ",".join(f"lambda{i}" for i in range(n_nodes))
     with _output(args) as out:
@@ -208,10 +220,12 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="grid of arrival rates, CSV")
     _add_common(p_sweep)
-    p_sweep.add_argument("--grid", type=int, default=17,
-                         help="points per axis of the rate box")
-    p_sweep.add_argument("--l0-max", type=float, default=0.8)
-    p_sweep.add_argument("--l1-max", type=float, default=0.8)
+    p_sweep.add_argument("--grid", type=int, help="points per axis of the "
+                                                  "rate box (default 17)")
+    p_sweep.add_argument("--l0-max", type=float,
+                         help="node 0's largest box rate (default 0.8)")
+    p_sweep.add_argument("--l1-max", type=float,
+                         help="the relay's largest box rate (default 0.8)")
     p_sweep.add_argument("--gamma", help="comma list: sweep node-0 rate "
                                          "offsets instead of a box")
     p_sweep.add_argument("--workers", type=int, default=1)

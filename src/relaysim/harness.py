@@ -375,9 +375,22 @@ def gamma_grid(base_lam, gammas):
 
 
 def _majority_stable(config: ExperimentConfig, lam):
+    """Whether most of the n_seeds seeds classify stable at rates `lam`.
+
+    The probe stops once its majority is decided. The first n // 2 + 1
+    seeds run as one run_seeds call; while the verdict is still open, the
+    next seed runs alone, in seed order. So a probe runs between n // 2 + 1
+    and n seeds, always the first ones, and gives the verdict of all n.
+    """
     params = replace(config.params, lam=tuple(lam))
-    results = run_seeds(replace(config, params=params, trace=False))
-    return sum(r.stable for r in results) > len(results) / 2
+    config = replace(config, params=params, trace=False)
+    n = config.n_seeds
+    ran = n // 2 + 1
+    stable = sum(r.stable for r in run_seeds(replace(config, n_seeds=ran)))
+    while stable <= n / 2 and ran - stable < n / 2:
+        stable += run_once(config, params.seed + ran).stable
+        ran += 1
+    return stable > n / 2
 
 
 def oracle_config(rho0, rho1, config: ExperimentConfig):
@@ -434,7 +447,7 @@ def parse_floats(text):
 
 
 # Config key -> (NetworkParams or ExperimentConfig field, value parser), in
-# header order. arrival_law is derived from a_max, informational only.
+# header order. arrival_law has no field: a_max implies it (see arrival_law).
 _CONFIG_KEYS = {
     "n_relays": ("n_relays", int), "rho": ("rho", parse_floats),
     "lambda": ("lam", parse_floats), "a_max": ("a_max", int),
@@ -447,12 +460,18 @@ _CONFIG_KEYS = {
 _PARAM_FIELDS = {f.name for f in fields(NetworkParams)}
 
 
+def arrival_law(a_max):
+    """The per-node arrival law a_max implies: one Bernoulli packet per slot
+    for a_max = 1, binomial for a_max > 1."""
+    return "bernoulli" if a_max == 1 else "binomial"
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     p = config.params
     items = {}
     for key, (name, _) in _CONFIG_KEYS.items():
         if name is None:
-            value = "bernoulli" if p.a_max == 1 else "binomial"
+            value = arrival_law(p.a_max)
         else:
             value = getattr(p if name in _PARAM_FIELDS else config, name)
         if isinstance(value, tuple):
@@ -466,7 +485,8 @@ def parse_config(text, overrides=None) -> ExperimentConfig:
 
     `overrides` maps config keys to value text that replaces the file's; an
     overriding rho brings its own relay count. Absent keys take the
-    dataclass defaults, except rho (0.4, 0.7) and lambda (all zeros).
+    dataclass defaults, except rho (0.4, 0.7) and lambda (all zeros). A
+    given arrival_law must be the one a_max implies.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -501,6 +521,10 @@ def parse_config(text, overrides=None) -> ExperimentConfig:
     values.setdefault("lam", (0.0,) * len(rho))
     params = NetworkParams(**{name: values.pop(name)
                               for name in _PARAM_FIELDS & set(values)})
+    implied = arrival_law(params.a_max)
+    if raw.get("arrival_law", implied) != implied:
+        raise ValueError(f"arrival_law: a_max = {params.a_max} gives "
+                         f"{implied}, got {raw['arrival_law']!r}")
     return ExperimentConfig(params, **values)
 
 

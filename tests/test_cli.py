@@ -219,6 +219,43 @@ def test_box_sweep_with_several_relays_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--grid", "0"), ("--grid", "5"),
+                                        ("--l0-max", "0.5"),
+                                        ("--l1-max", "0.5")])
+def test_gamma_sweep_rejects_box_flags(tmp_path, monkeypatch, flag, value):
+    monkeypatch.setattr(cli, "sweep_grid", lambda *a, **k: pytest.fail(
+        "no sweep runs on rejected input"))
+    out = tmp_path / "gamma.csv"
+    assert exit_message(["sweep", "--gamma", "0.1", flag, value, "--out",
+                         str(out)]) == (
+        f"relaysim sweep: {flag} shapes a box sweep; a --gamma sweep does "
+        f"not take it")
+    assert not out.exists()
+
+
+def test_box_flag_on_gamma_sweep_exit_status(tmp_path):
+    src = Path(relaysim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim.cli", "sweep", "--gamma", "0.1",
+         "--grid", "0"], capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "relaysim sweep: --grid shapes a box sweep; a --gamma sweep does not "
+        "take it"]
+
+
+def test_box_sweep_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "sweep_grid",
+                        lambda config, grid, workers: seen.append(grid) or [])
+    main(["sweep", "--horizon", "100"])
+    main(["sweep", "--horizon", "100", "--grid", "3", "--l1-max", "0.4"])
+    assert seen == [harness.box_grid(17, 0.8, 0.8),
+                    harness.box_grid(3, 0.8, 0.4)]
+
+
 def test_gamma_sweep_writes_every_rate(tmp_path):
     out = tmp_path / "gamma.csv"
     main(["sweep", "--rho", "0.4,0.7,0.8,0.7", "--lambda",
@@ -321,6 +358,26 @@ def test_boundary_oracle_off_quadrant_angle_rejected(tmp_path, angle):
 def test_bad_input_exits_before_output(tmp_path, argv, message):
     out = tmp_path / "out"
     assert exit_message(argv + ["--out", str(out)]) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("arrival_law = binomial\n",
+     "arrival_law: a_max = 1 gives bernoulli, got 'binomial'"),
+    ("a_max = 2\nlambda = 0.5, 0.5\narrival_law = bernoulli\n",
+     "arrival_law: a_max = 2 gives binomial, got 'bernoulli'"),
+    ("arrival_law = poisson\n",
+     "arrival_law: a_max = 1 gives bernoulli, got 'poisson'"),
+])
+def test_arrival_law_other_than_a_max_implies_rejected(tmp_path, monkeypatch,
+                                                       text, message):
+    monkeypatch.setattr(cli, "run_seeds", lambda config: pytest.fail(
+        "no run on rejected input"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "summary.json"
+    assert exit_message(["run", "-c", str(cfg), "--out", str(out)]) == (
+        f"relaysim run: {message}")
     assert not out.exists()
 
 

@@ -234,6 +234,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="^horizon: "):
             parse_config("horizon = x\n")
 
+    @pytest.mark.parametrize("a_max,law", [(1, "bernoulli"),
+                                           (2, "binomial"), (3, "binomial")])
+    def test_arrival_law_follows_a_max(self, a_max, law):
+        cfg = make_config(lam=(0.5, 0.5))
+        cfg = replace(cfg, params=replace(cfg.params, a_max=a_max))
+        assert f"# arrival_law = {law}" in header_lines(cfg)
+        assert parse_config("\n".join(header_lines(cfg, ""))) == cfg
+        text = f"a_max = {a_max}\nlambda = 0.5, 0.5\narrival_law = {law}\n"
+        assert parse_config(text) == cfg
+        other = "binomial" if law == "bernoulli" else "bernoulli"
+        with pytest.raises(ValueError, match=f"^arrival_law: a_max = {a_max} "
+                                             f"gives {law}, got '{other}'$"):
+            parse_config(text.replace(law, other))
+
     def test_header_lines_carry_seed(self):
         cfg = make_config(seed=123)
         header = "\n".join(header_lines(cfg))
@@ -303,6 +317,124 @@ def test_oracle_runs_its_oracle_config(monkeypatch):
                         lambda config, lam: seen.append(config) or True)
     assert boundary_oracle(0.3, 0.6, 45.0, cfg)["capped"]
     assert seen == [oracle]
+
+
+def scripted_runs(monkeypatch, verdict):
+    """Replace harness.run_seeds and harness.run_once by runs whose stable
+    verdict is verdict(lam, seed). Returns the log of (entry point, seeds)
+    calls they receive, in call order."""
+    from types import SimpleNamespace
+
+    from relaysim import harness
+
+    log = []
+
+    def result(config, seed):
+        return SimpleNamespace(seed=seed,
+                               stable=verdict(config.params.lam, seed))
+
+    def fake_run_seeds(config):
+        assert not config.trace
+        seeds = [config.params.seed + k for k in range(config.n_seeds)]
+        log.append(("run_seeds", seeds))
+        return [result(config, s) for s in seeds]
+
+    def fake_run_once(config, seed):
+        assert not config.trace
+        log.append(("run_once", [seed]))
+        return result(config, seed)
+
+    monkeypatch.setattr(harness, "run_seeds", fake_run_seeds)
+    monkeypatch.setattr(harness, "run_once", fake_run_once)
+    return log
+
+
+def deciding_prefix(votes):
+    """Length of the shortest prefix of the seed votes after which the
+    majority of all of them is known."""
+    n = len(votes)
+    for k in range(1, n + 1):
+        stable = sum(votes[:k])
+        if stable > n / 2 or k - stable >= n / 2:
+            return k
+    raise AssertionError("the full vote is always decided")
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 3, 4, 5])
+def test_majority_stops_once_decided(monkeypatch, n_seeds):
+    from itertools import product
+
+    from relaysim.harness import _majority_stable
+
+    base = 40
+    cfg = make_config(horizon=100, n_seeds=n_seeds, scheduler="mws",
+                      seed=base, trace=True)
+    first = n_seeds // 2 + 1
+    for votes in product([True, False], repeat=n_seeds):
+        log = scripted_runs(monkeypatch,
+                            lambda lam, seed: votes[seed - base])
+        verdict = _majority_stable(cfg, (0.1, 0.2))
+        assert verdict == (sum(votes) > n_seeds / 2), votes
+
+        assert log[0] == ("run_seeds", list(range(base, base + first)))
+        assert all(entry == "run_once" for entry, _ in log[1:])
+        seeds = [s for _, run in log for s in run]
+        runs = max(first, deciding_prefix(votes))
+        assert seeds == list(range(base, base + runs)), votes
+
+
+@pytest.mark.parametrize("n_seeds", [3, 4])
+def test_majority_equals_all_seeds_on_real_runs(monkeypatch, n_seeds):
+    """At points inside, outside and near the one-relay boundary, the early
+    stop gives the majority of all seeds, and it both stops early and runs
+    past n // 2 + 1 seeds somewhere on this set of points."""
+    from relaysim import RateRegion2, harness
+
+    region = RateRegion2(0.4, 0.7)
+    cfg = make_config(horizon=2000, n_seeds=n_seeds, scheduler="mws")
+    runs = []
+    real_run_once = harness.run_once
+
+    def counted(config, seed):
+        runs[-1] += 1
+        return real_run_once(config, seed)
+
+    for angle in (0.0, 60.0, 90.0):
+        bx, by = region.boundary(angle)
+        for scale in (0.5, 0.97, 1.0, 1.03, 1.3):
+            lam = (scale * bx, scale * by)
+            everyone = run_seeds(replace(cfg, params=replace(cfg.params,
+                                                             lam=lam)))
+            runs.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "run_once", counted)
+                verdict = harness._majority_stable(cfg, lam)
+            assert verdict == (sum(r.stable for r in everyone)
+                               > n_seeds / 2), (angle, scale)
+    first = n_seeds // 2 + 1
+    assert all(first <= k <= n_seeds for k in runs)
+    assert first in runs and max(runs) > first
+
+
+def test_oracle_makes_one_run_seeds_call_per_probe(monkeypatch):
+    from relaysim import harness
+
+    # Seed-dependent verdicts, so that some probes split their votes.
+    log = scripted_runs(monkeypatch,
+                        lambda lam, seed: sum(lam) < 0.6 + 0.1 * (seed % 3))
+    probes = []
+    majority = harness._majority_stable
+
+    def probe(config, lam):
+        probes.append(len(log))
+        return majority(config, lam)
+
+    monkeypatch.setattr(harness, "_majority_stable", probe)
+    cfg = make_config(horizon=100, n_seeds=3, scheduler="mws")
+    boundary_oracle(0.4, 0.7, 30.0, cfg, resolution=0.04)
+    calls = [k for k, (entry, _) in enumerate(log) if entry == "run_seeds"]
+    assert calls == probes
+    assert len(log) > len(probes)  # some probe ran its third seed
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 99, 10_000, 10_001, 50_001])

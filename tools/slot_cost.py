@@ -12,7 +12,11 @@ the CPU time (time.process_time) of:
 - run_once: microseconds per slot for each scheduler at N = 1, 3 and 8
   relays, horizon 2e4, contention decision mode;
 - lanes.run_lanes: nanoseconds per lane-slot for mws and rqcsma at N = 1,
-  horizon 1e4, with 3, 12, 24 and 48 lanes (one seed per lane).
+  horizon 1e4, with 3, 12, 24 and 48 lanes (one seed per lane);
+- harness.boundary_oracle at the shape of the benchmark's oracle workload
+  (rho = (0.4, 0.7), a 30 degree ray, mws, 3 seeds, horizon 5e4,
+  resolution 0.04, seed 1): CPU seconds per boundary point, and the
+  run_once calls (runs) one boundary point makes, counted in one more call.
 
 Each figure is the median of REPEATS turns. A start-up table, measured in
 REPEATS fresh processes per package (the packages again take turns), holds
@@ -41,6 +45,11 @@ SCALAR_HORIZON = 20_000
 LANE_COUNTS = (3, 12, 24, 48)
 LANE_SCHEDULERS = ("mws", "rqcsma")
 LANE_HORIZON = 10_000
+ORACLE_RHO = (0.4, 0.7)
+ORACLE_ANGLE = 30.0
+ORACLE_SEEDS = 3
+ORACLE_HORIZON = 50_000
+ORACLE_RESOLUTION = 0.04
 
 
 def load(name, src):
@@ -87,6 +96,28 @@ def run_lanes_call(rs, scheduler, n_lanes):
                                  horizon=LANE_HORIZON, n_seeds=1)
     lanes = [(params.lam, seed) for seed in range(n_lanes)]
     return lambda: list(rs.lanes.run_lanes(config, lanes))
+
+
+def oracle_call(rs):
+    params = rs.NetworkParams(n_relays=1, rho=ORACLE_RHO, lam=(0.0, 0.0),
+                              seed=1)
+    config = rs.ExperimentConfig(params=params, scheduler="mws",
+                                 horizon=ORACLE_HORIZON, n_seeds=ORACLE_SEEDS)
+    return lambda: rs.harness.boundary_oracle(
+        *ORACLE_RHO, ORACLE_ANGLE, config, resolution=ORACLE_RESOLUTION)
+
+
+def oracle_runs(rs):
+    """The run_once calls of one boundary_oracle call at the oracle shape."""
+    harness, seeds = rs.harness, []
+    run_once = harness.run_once
+    harness.run_once = lambda config, seed: (seeds.append(seed)
+                                             or run_once(config, seed))
+    try:
+        oracle_call(rs)()
+    finally:
+        harness.run_once = run_once
+    return len(seeds)
 
 
 # Run in a fresh interpreter with PYTHONPATH set to a package's directory:
@@ -139,6 +170,11 @@ def measure(packages):
                 tables[label]["run_lanes_ns_per_lane_slot"].setdefault(
                     scheduler, {})[str(n_lanes)] = round(
                         s / (LANE_HORIZON * n_lanes) * 1e9)
+    seconds = take_turns([oracle_call(rs) for rs in packages.values()])
+    for (label, rs), s in zip(packages.items(), seconds):
+        tables[label]["boundary_oracle"] = {
+            "runs_per_point": oracle_runs(rs),
+            "cpu_s_per_point": round(s, 3)}
     return tables
 
 
@@ -177,6 +213,11 @@ def main(argv=None):
                         f"decision mode, seed 1, N = {list(RELAYS)}",
             "run_lanes": f"ns per lane-slot, N = 1, horizon {LANE_HORIZON}, "
                          f"lanes = {list(LANE_COUNTS)}",
+            "boundary_oracle": f"runs and CPU seconds per boundary point, "
+                               f"rho = {list(ORACLE_RHO)}, {ORACLE_ANGLE:g} "
+                               f"degrees, mws, {ORACLE_SEEDS} seeds, horizon "
+                               f"{ORACLE_HORIZON}, resolution "
+                               f"{ORACLE_RESOLUTION:g}, seed 1",
             "startup": f"wall seconds of `import relaysim.cli` and peak RSS "
                        f"(ru_maxrss) of a fresh process, median of {REPEATS} "
                        f"processes per package, taking turns",
