@@ -86,6 +86,13 @@ def _require_writable(flag, path):
         raise ValueError(f"--{flag} {path}: permission denied")
 
 
+def _same_file(a, b):
+    """Whether paths `a` and `b` name one file: they resolve to one path,
+    or both exist as links to one file."""
+    return Path(a).resolve() == Path(b).resolve() or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
+
+
 def _require_count(name, value):
     """Reject the count `value` unless it is >= 1."""
     if value < 1:
@@ -95,13 +102,16 @@ def _require_count(name, value):
 def cmd_run(args):
     with _input_errors(args):
         config = replace(_load_config(args), trace=bool(args.trace))
-    results = run_seeds(config)
-
+        if args.trace and args.out and _same_file(args.out, args.trace):
+            raise ValueError(f"--out and --trace name the same file: "
+                             f"{args.out}")
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(json.dumps({"config": config_to_dict(config)}) + "\n")
-            for record in results[0].records:
-                fh.write(record.to_json() + "\n")
+            results = run_seeds(config, sink=lambda record: fh.write(
+                record.to_json() + "\n"))
+    else:
+        results = run_seeds(config)
 
     summary = {
         "config": config_to_dict(config),

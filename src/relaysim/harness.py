@@ -201,8 +201,13 @@ def _slot_rule(config: ExperimentConfig, streams, memory):
     return decide, step
 
 
-def run_once(config: ExperimentConfig, seed) -> RunResult:
+def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     """Execute one seeded run of `horizon` slots.
+
+    With config.trace the run makes one SlotRecord per slot and passes it
+    to `sink` as the loop makes it. The default sink appends it to the
+    result's `records`; with any other sink the run holds no record and
+    `records` stays empty.
 
     Channels, arrivals and the CSMA backoff elections do not depend on the
     queues, so they are drawn BLOCK_SLOTS slots at a time; the per-slot loop
@@ -229,6 +234,8 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
     sampled = set(slots)
     totals = []
     records = []
+    if sink is None:
+        sink = records.append
     row = [0] * (2 * params.n_relays + 1)
     acc = 0
 
@@ -257,22 +264,25 @@ def run_once(config: ExperimentConfig, seed) -> RunResult:
             if t in sampled:
                 totals.append(total)
             if trace:
-                records.append(SlotRecord(t, channel, decision, x, tag,
-                                          arrivals, QueueState.from_row(row)))
+                sink(SlotRecord(t, channel, decision, x, tag, arrivals,
+                                QueueState.from_row(row)))
 
     return run_result(seed, params.lam, horizon, slots, totals, acc,
                       len(memory), len(seen_channels), records)
 
 
-def run_seeds(config: ExperimentConfig):
+def run_seeds(config: ExperimentConfig, *, sink=None):
     """Run the configured number of seeds: base seed + k for k < n_seeds.
 
-    With config.trace only the first run keeps its slot records (a trace is
-    one sample path; every seed's would cost seeds x horizon records).
+    With config.trace only the first run makes slot records (a trace is one
+    sample path; every seed's would cost seeds x horizon records), and they
+    go to `sink` as run_once makes them; without a sink they are kept in
+    the first result's `records`.
     """
     untraced = replace(config, trace=False)
-    return [run_once(config if k == 0 else untraced, config.params.seed + k)
-            for k in range(config.n_seeds)]
+    first = run_once(config, config.params.seed, sink=sink)
+    return [first] + [run_once(untraced, config.params.seed + k)
+                      for k in range(1, config.n_seeds)]
 
 
 def aggregate_ci(values):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -298,9 +299,9 @@ def test_run_traces_only_the_first_seed(tmp_path, monkeypatch):
     calls = []
     run_once = harness.run_once
 
-    def spy(config, seed):
+    def spy(config, seed, **kwargs):
         calls.append((seed, config.trace))
-        return run_once(config, seed)
+        return run_once(config, seed, **kwargs)
 
     monkeypatch.setattr(harness, "run_once", spy)
     trace = tmp_path / "trace.jsonl"
@@ -308,6 +309,80 @@ def test_run_traces_only_the_first_seed(tmp_path, monkeypatch):
           "--trace", str(trace), "--out", str(tmp_path / "summary.json")])
     assert calls == [(4, True), (5, False), (6, False)]
     assert len(read_lines(trace)) == 201
+
+
+@pytest.mark.parametrize("out,trace", [
+    ("x", "x"), ("x", "sub/../x"), ("symlink", "x"), ("hardlink", "x")])
+def test_out_and_trace_naming_one_file_rejected(tmp_path, monkeypatch, out,
+                                                trace):
+    monkeypatch.setattr(cli, "run_seeds", lambda *args, **kwargs: (
+        pytest.fail("simulated before rejecting the paths")))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "x").write_text("kept\n")
+    (tmp_path / "symlink").symlink_to(tmp_path / "x")
+    (tmp_path / "hardlink").hardlink_to(tmp_path / "x")
+    out, trace = tmp_path / out, tmp_path / trace
+    assert exit_message(["run", "--out", str(out), "--trace", str(trace)]) \
+        == f"relaysim run: --out and --trace name the same file: {out}"
+    assert (tmp_path / "x").read_text() == "kept\n"
+
+
+def test_out_and_trace_naming_one_file_exit_status(tmp_path):
+    src = Path(relaysim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim.cli", "run", "--horizon", "300",
+         "--seeds", "1", "--out", "x", "--trace", "./x"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "relaysim run: --out and --trace name the same file: x"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def traced_run_peak(tmp_path, horizon):
+    """tracemalloc's peak, in bytes, over one `relaysim run --trace` call."""
+    argv = ["run", "--horizon", str(horizon), "--seeds", "1",
+            "--trace", str(tmp_path / "trace.jsonl"),
+            "--out", str(tmp_path / "summary.json")]
+    tracemalloc.start()
+    try:
+        main(argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_does_not_grow_with_the_horizon(tmp_path):
+    # Above MAX_TRAJECTORY_POINTS the sampled trajectory no longer grows,
+    # so only slot records held in memory could.
+    short, long = 12_000, 48_000
+    assert short > harness.MAX_TRAJECTORY_POINTS
+    peaks = [traced_run_peak(tmp_path, horizon) for horizon in (short, long)]
+    assert len(read_lines(tmp_path / "trace.jsonl")) == long + 1
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_interrupted_trace_keeps_the_lines_written(tmp_path, monkeypatch):
+    apply_slot, slots = harness.apply_slot, []
+
+    def interrupted(*args):
+        if len(slots) == 150:
+            raise KeyboardInterrupt
+        slots.append(None)
+        return apply_slot(*args)
+
+    monkeypatch.setattr(harness, "apply_slot", interrupted)
+    trace = tmp_path / "trace.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--horizon", "400", "--seeds", "1",
+              "--trace", str(trace), "--out", str(tmp_path / "summary.json")])
+    lines = read_lines(trace)
+    assert len(lines) == 151
+    assert set(json.loads(lines[0])) == {"config"}
+    assert json.loads(lines[-1])["t"] == 149
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -8,9 +8,11 @@ import pytest
 from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
                       classify_stability, parse_config, run_once, run_seeds,
                       sweep_grid)
-from relaysim.harness import (MAX_TRAJECTORY_POINTS, boundary_oracle,
-                              box_grid, config_to_dict, gamma_grid,
-                              header_lines, sample_slots, stable_fraction)
+from relaysim.harness import (DECISION_MODES, MAX_TRAJECTORY_POINTS,
+                              boundary_oracle, box_grid, config_to_dict,
+                              gamma_grid, header_lines, sample_slots,
+                              stable_fraction)
+from relaysim.scheduling import SCHEDULER_KINDS
 
 
 def make_config(lam=(0.0, 0.0), rho=(0.4, 0.7), **kw):
@@ -255,6 +257,35 @@ class TestConfigFile:
         assert "# scheduler = rqcsma" in header
 
 
+RESULT_FIELDS = ("seed", "q_avg", "slots", "totals", "final_total", "stable",
+                 "slope", "memory_entries", "distinct_channels")
+
+
+@pytest.mark.parametrize("rho,lam", [
+    ((0.4, 0.7), (0.45, 0.2)),
+    ((0.4, 0.7, 0.8, 0.7), (0.4, 0.05, 0.05, 0.05))])
+@pytest.mark.parametrize("mode", DECISION_MODES)
+@pytest.mark.parametrize("scheduler", SCHEDULER_KINDS)
+def test_sink_gets_the_records_run_once_keeps(scheduler, mode, rho, lam):
+    cfg = make_config(lam=lam, rho=rho, horizon=1500, n_seeds=2, seed=11,
+                      scheduler=scheduler, decision_mode=mode, trace=True)
+    kept = run_once(cfg, 11)
+    lines = []
+    sunk = run_once(cfg, 11, sink=lambda record: lines.append(
+        record.to_json()))
+    assert lines == [r.to_json() for r in kept.records]
+    assert len(lines) == cfg.horizon and sunk.records == []
+    for name in RESULT_FIELDS:
+        assert getattr(sunk, name) == getattr(kept, name), name
+
+    streamed = []
+    results = run_seeds(cfg, sink=streamed.append)
+    assert [r.to_json() for r in streamed] == lines
+    assert [r.records for r in results] == [[], []]
+    for name in RESULT_FIELDS:
+        assert getattr(results[0], name) == getattr(kept, name), name
+
+
 def test_run_seeds_uses_base_seed():
     cfg = make_config(lam=(0.2, 0.1), horizon=400, n_seeds=3, seed=50)
     results = run_seeds(cfg)
@@ -395,9 +426,9 @@ def test_majority_equals_all_seeds_on_real_runs(monkeypatch, n_seeds):
     runs = []
     real_run_once = harness.run_once
 
-    def counted(config, seed):
+    def counted(config, seed, **kwargs):
         runs[-1] += 1
-        return real_run_once(config, seed)
+        return real_run_once(config, seed, **kwargs)
 
     for angle in (0.0, 60.0, 90.0):
         bx, by = region.boundary(angle)

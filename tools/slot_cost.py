@@ -18,10 +18,15 @@ the CPU time (time.process_time) of:
   resolution 0.04, seed 1): CPU seconds per boundary point, and the
   run_once calls (runs) one boundary point makes, counted in one more call.
 
-Each figure is the median of REPEATS turns. A start-up table, measured in
-REPEATS fresh processes per package (the packages again take turns), holds
-the wall time of `import relaysim.cli` and the peak RSS of the process that
-made it.
+Each figure is the median of REPEATS turns. Two tables are measured in
+REPEATS fresh processes per package (the packages again take turns):
+
+- startup: the wall time of `import relaysim.cli` and the peak RSS of the
+  process that made it;
+- trace: the wall time of one `relaysim run --trace` call (cli.main, after
+  the import) and the peak RSS of its process, at the shape of the
+  benchmark's trace workload (rho = (0.4, 0.7), lambda = (0.5, 0.15),
+  rqcsma in sampler mode, one seed) for each horizon in TRACE_HORIZONS.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,6 +56,10 @@ ORACLE_ANGLE = 30.0
 ORACLE_SEEDS = 3
 ORACLE_HORIZON = 50_000
 ORACLE_RESOLUTION = 0.04
+TRACE_HORIZONS = (20_000, 100_000)
+TRACE_RUN = ["run", "--rho", "0.4,0.7", "--lambda", "0.5,0.15",
+             "--scheduler", "rqcsma", "--decision-mode", "sampler",
+             "--seeds", "1", "--seed", "1"]
 
 
 def load(name, src):
@@ -111,8 +121,8 @@ def oracle_runs(rs):
     """The run_once calls of one boundary_oracle call at the oracle shape."""
     harness, seeds = rs.harness, []
     run_once = harness.run_once
-    harness.run_once = lambda config, seed: (seeds.append(seed)
-                                             or run_once(config, seed))
+    harness.run_once = lambda config, seed, **kw: (
+        seeds.append(seed) or run_once(config, seed, **kw))
     try:
         oracle_call(rs)()
     finally:
@@ -129,23 +139,55 @@ import relaysim.cli
 seconds = time.perf_counter() - t0
 print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+# Likewise, with the argv of a `relaysim run` after the script: prints the
+# wall seconds of that cli.main call and the peak RSS in MB.
+TRACE_PROBE = """\
+import resource, sys, time
+import relaysim.cli
+t0 = time.perf_counter()
+relaysim.cli.main(sys.argv[1:])
+seconds = time.perf_counter() - t0
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
-def startup(sources):
-    """{label: start-up table} for the {label: package directory} given."""
+def fresh_runs(sources, probe, argv=()):
+    """{label: (median wall seconds, median peak RSS in MB)} of `probe` run
+    with `argv` in REPEATS fresh processes per {label: package directory},
+    the packages taking turns."""
     samples = {label: [] for label in sources}
     for _ in range(REPEATS):
         for label, src in sources.items():
             env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-            out = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+            out = subprocess.run([sys.executable, "-c", probe, *argv],
                                  env=env, check=True, capture_output=True,
                                  text=True).stdout.split()
             samples[label].append([float(v) for v in out])
-    tables = {}
-    for label, runs in samples.items():
-        seconds, rss = zip(*runs)
-        tables[label] = {"import_cli_s": round(statistics.median(seconds), 3),
-                         "peak_rss_mb": round(statistics.median(rss), 1)}
+    return {label: tuple(statistics.median(v) for v in zip(*runs))
+            for label, runs in samples.items()}
+
+
+def startup(sources):
+    """{label: start-up table} for the {label: package directory} given."""
+    return {label: {"import_cli_s": round(seconds, 3),
+                    "peak_rss_mb": round(rss, 1)}
+            for label, (seconds, rss) in fresh_runs(sources,
+                                                    STARTUP_PROBE).items()}
+
+
+def trace(sources):
+    """{label: trace table} for the {label: package directory} given."""
+    tables = {label: {} for label in sources}
+    with tempfile.TemporaryDirectory() as tmp:
+        for horizon in TRACE_HORIZONS:
+            argv = TRACE_RUN + ["--horizon", str(horizon),
+                                "--trace", str(Path(tmp) / "trace.jsonl"),
+                                "--out", str(Path(tmp) / "summary.json")]
+            runs = fresh_runs(sources, TRACE_PROBE, argv)
+            for label, (seconds, rss) in runs.items():
+                tables[label][str(horizon)] = {
+                    "wall_s": round(seconds, 3),
+                    "peak_rss_mb": round(rss, 1)}
     return tables
 
 
@@ -202,6 +244,7 @@ def main(argv=None):
     sources = dict(s.split("=", 1) for s in args.sources) or {
         "this checkout": str(ROOT / "src")}
     started = startup(sources)
+    traced = trace(sources)
     packages = {label: load(f"relaysim_{k}", src)
                 for k, (label, src) in enumerate(sources.items())}
     doc = {
@@ -221,11 +264,17 @@ def main(argv=None):
             "startup": f"wall seconds of `import relaysim.cli` and peak RSS "
                        f"(ru_maxrss) of a fresh process, median of {REPEATS} "
                        f"processes per package, taking turns",
+            "trace": f"wall seconds of one `relaysim run --trace` call "
+                     f"(cli.main, after the import) and peak RSS (ru_maxrss) "
+                     f"of its fresh process, {' '.join(TRACE_RUN[1:])}, "
+                     f"horizon = {list(TRACE_HORIZONS)}, median of {REPEATS} "
+                     f"processes per package, taking turns",
         },
         "results": measure(packages),
     }
-    for label, table in started.items():
-        doc["results"][label]["startup"] = table
+    for label in sources:
+        doc["results"][label]["startup"] = started[label]
+        doc["results"][label]["trace"] = traced[label]
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["results"], indent=2))
 
