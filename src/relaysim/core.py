@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -168,6 +168,13 @@ def relay_target(queues) -> int:
     return best - n
 
 
+# apply_slot's served-queue tags by node index, made once per index rather
+# than formatted every slot.
+_relayed_to = cache("source-relayed-to-{}".format)
+_relay_own = cache("relay-{}-own".format)
+_relay_forwarding = cache("relay-{}-forwarding".format)
+
+
 def apply_slot(queues, transmission: Schedule, channel,
                arrivals: Sequence) -> tuple:
     """Advance the queues by one slot: serve `transmission`, then add arrivals.
@@ -193,7 +200,7 @@ def apply_slot(queues, transmission: Schedule, channel,
             else:
                 target = relay_target(row)
                 row[n + target] += 1
-                tag = f"source-relayed-to-{target}"
+                tag = _relayed_to(target)
     elif transmission is not IDLE:
         i = transmission
         if not channel[i]:
@@ -202,10 +209,10 @@ def apply_slot(queues, transmission: Schedule, channel,
         if row[i] >= row[n + i]:
             if row[i] > 0:
                 row[i] -= 1
-                tag = f"relay-{i}-own"
+                tag = _relay_own(i)
         else:
             row[n + i] -= 1
-            tag = f"relay-{i}-forwarding"
+            tag = _relay_forwarding(i)
 
     for node, a in enumerate(arrivals):
         if a:
@@ -215,7 +222,19 @@ def apply_slot(queues, transmission: Schedule, channel,
     return row, tag
 
 
-@dataclass
+@cache
+def _json_template(n):
+    """The %-template of SlotRecord.to_json with n relays, one %s per
+    flattened field: t, channel, decision, transmission, served_queue,
+    arrivals, and the queue row q0, q, q0i. Made once per relay count."""
+    nodes, relays = ",".join(["%s"] * (n + 1)), ",".join(["%s"] * n)
+    return ('{"t":%s,"channel":[' + nodes + '],"decision":%s,'
+            '"transmission":%s,"served_queue":"%s","arrivals":[' + nodes
+            + '],"queues_after":{"q0":%s,"q":[' + relays + '],"q0i":['
+            + relays + ']}}')
+
+
+@dataclass(slots=True)
 class SlotRecord:
     """One trace row: everything that happened in slot t."""
 
@@ -241,15 +260,8 @@ class SlotRecord:
     def to_json(self):
         """as_dict() as compact JSON (json.dumps with separators (",", ":")),
         formatted directly: every field is an int, None or a plain tag."""
-        q = self.queues_after
-        n = len(q) >> 1
         d, x = self.decision, self.transmission
-        return (f'{{"t":{self.t},'
-                f'"channel":[{",".join(map(str, self.channel))}],'
-                f'"decision":{"null" if d is None else d},'
-                f'"transmission":{"null" if x is None else x},'
-                f'"served_queue":"{self.served_queue}",'
-                f'"arrivals":[{",".join(map(str, self.arrivals))}],'
-                f'"queues_after":{{"q0":{q[0]},'
-                f'"q":[{",".join(map(str, q[1:n + 1]))}],'
-                f'"q0i":[{",".join(map(str, q[n + 1:]))}]}}}}')
+        return _json_template(len(self.queues_after) >> 1) % (
+            self.t, *self.channel, "null" if d is None else d,
+            "null" if x is None else x, self.served_queue, *self.arrivals,
+            *self.queues_after)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from relaysim import ExperimentConfig, NetworkParams, harness
+from relaysim import ExperimentConfig, NetworkParams, cli, harness
 from relaysim.contention import ContentionOutcome
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -66,3 +66,18 @@ def test_tracer_intercepts_each_step(tracer, scheduler):
     assert totals["core.apply_slot"]["calls"] == 50
     assert totals["harness.run_once"]["calls"] == 1
     assert t.counts["harness.run_once.slots"] == 50
+
+
+def test_tracer_counts_each_trace_line(tracer, tmp_path):
+    argv = ["run", "--rho", "0.4,0.7", "--lambda", "0.5,0.15",
+            "--scheduler", "rqcsma", "--decision-mode", "sampler",
+            "--seeds", "1", "--horizon", "50",
+            "--trace", str(tmp_path / "trace.jsonl"),
+            "--out", str(tmp_path / "summary.json")]
+    with tracer.Tracer() as t:
+        cli.main(argv)  # looked up after the tracer patched it
+    totals, _ = t.layer_totals()
+    assert totals["core.SlotRecord.to_json"]["calls"] == 50
+    assert totals["cli.main"]["calls"] == 1
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    assert len(lines) == 51  # the config header, then one line per slot

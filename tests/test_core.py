@@ -111,6 +111,27 @@ class TestApplySlot:
             apply_slot(q, 1, (1, 0), (0, 0))
 
 
+@pytest.mark.parametrize("as_list", [False, True])
+@pytest.mark.parametrize("n_relays", range(1, 13))
+def test_apply_slot_spells_every_relay_tag(n_relays, as_list):
+    channel = (0,) + (1,) * n_relays  # node 0 OFF: its transmission relays
+    arrivals = (0,) * (n_relays + 1)
+    zeros = (0,) * n_relays
+    for i in range(1, n_relays + 1):
+        def at_i(value, rest=0):
+            return tuple(value if k == i else rest
+                         for k in range(1, n_relays + 1))
+        cases = ((QueueState(1, zeros, at_i(0, rest=5)), 0,
+                  f"source-relayed-to-{i}"),
+                 (QueueState(0, at_i(2), at_i(1)), i, f"relay-{i}-own"),
+                 (QueueState(0, zeros, at_i(1)), i, f"relay-{i}-forwarding"))
+        for queues, transmission, expected in cases:
+            state = list(queues) if as_list else queues
+            out, tag = apply_slot(state, transmission, channel, arrivals)
+            assert tag == expected
+            assert type(out) is type(state)
+
+
 queue_states = st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.integers(0, 20),
     st.lists(st.integers(0, 20), min_size=n, max_size=n).map(tuple),
@@ -193,6 +214,48 @@ def test_to_json_covers_idle_and_every_tag():
                                 (1, 0, 0, 1), queues)
             assert record.to_json() == json.dumps(record.as_dict(),
                                                   separators=(",", ":"))
+
+
+def compact_json(record):
+    return json.dumps(record.as_dict(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("n_relays", range(1, 11))
+def test_to_json_equals_json_dumps_for_each_relay_count(n_relays):
+    n = n_relays + 1
+    queues = QueueState(7, tuple(range(10, 10 + n_relays)),
+                        tuple(range(30, 30 + n_relays)))
+    for tag in served_tags(n_relays):
+        record = SlotRecord(11, tuple(k % 2 for k in range(n)), 0, n_relays,
+                            tag, tuple(k % 3 for k in range(n)), queues)
+        assert record.to_json() == compact_json(record)
+
+
+@pytest.mark.parametrize("n_relays", [1, 3, 8])
+def test_to_json_takes_channel_and_arrivals_as_lists(n_relays):
+    n = n_relays + 1
+    record = SlotRecord(4, [k % 2 for k in range(n)], IDLE, 0,
+                        "source-direct", [(k + 1) % 3 for k in range(n)],
+                        QueueState(2, (1,) * n_relays, (0,) * n_relays))
+    assert record.to_json() == compact_json(record)
+
+
+@pytest.mark.parametrize("decision", [None, 0, 1, 3])
+@pytest.mark.parametrize("transmission", [None, 0, 1, 3])
+def test_to_json_writes_each_schedule_as_null_or_int(decision, transmission):
+    record = SlotRecord(0, (1, 1, 0, 1), decision, transmission, "none",
+                        (0, 0, 0, 0), QueueState.empty(3))
+    assert record.to_json() == compact_json(record)
+
+
+@pytest.mark.parametrize("n_relays", [1, 3])
+def test_to_json_writes_large_counts_in_full(n_relays):
+    big = 10**12
+    record = SlotRecord(big, (0,) * (n_relays + 1), 0, 0,
+                        "source-relayed-to-1", (1,) * (n_relays + 1),
+                        QueueState(big, (big - 1,) * n_relays,
+                                   (big,) * n_relays))
+    assert record.to_json() == compact_json(record)
 
 
 def test_conservation_over_random_run():

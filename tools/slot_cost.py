@@ -16,10 +16,26 @@ the CPU time (time.process_time) of:
 - harness.boundary_oracle at the shape of the benchmark's oracle workload
   (rho = (0.4, 0.7), a 30 degree ray, mws, 3 seeds, horizon 5e4,
   resolution 0.04, seed 1): CPU seconds per boundary point, and the
-  run_once calls (runs) one boundary point makes, counted in one more call.
+  run_once calls (runs) one boundary point makes, counted in one more call;
+- run_once at the shape of the benchmark's trace workload (below), horizon
+  TRACE_HORIZONS[0]: microseconds per slot with trace=True and a sink that
+  writes each record's to_json() line to os.devnull, the same run untraced,
+  and the ratio of the two.
 
-Each figure is the median of REPEATS turns. Two tables are measured in
-REPEATS fresh processes per package (the packages again take turns):
+Each figure is the median of REPEATS turns. Right before and right after
+each timed call the calibration loop of the benchmark's
+perfbench/hostspeed.py runs CAL_LOOPS times; the mean of the two speeds,
+relative to that module's nominal speed, is the host's speed for the call,
+and the call's time times that speed is its time on a host at nominal
+speed. Every timed figure is reported both raw and at
+nominal speed (the `*_at_nominal_speed` entries), and the host speeds seen
+are summarised under "host_speed". The raw figures of two runs of this
+script move with the host's speed between them; the nominal ones take that
+speed out, so they are the ones to compare across files written at
+different times.
+
+Two tables are measured in REPEATS fresh processes per package (the
+packages again take turns):
 
 - startup: the wall time of `import relaysim.cli` and the peak RSS of the
   process that made it;
@@ -32,6 +48,7 @@ REPEATS fresh processes per package (the packages again take turns):
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -41,6 +58,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,9 +75,24 @@ ORACLE_SEEDS = 3
 ORACLE_HORIZON = 50_000
 ORACLE_RESOLUTION = 0.04
 TRACE_HORIZONS = (20_000, 100_000)
-TRACE_RUN = ["run", "--rho", "0.4,0.7", "--lambda", "0.5,0.15",
+TRACE_RHO = (0.4, 0.7)
+TRACE_LAM = (0.5, 0.15)
+TRACE_RUN = ["run", "--rho", ",".join(map(str, TRACE_RHO)),
+             "--lambda", ",".join(map(str, TRACE_LAM)),
              "--scheduler", "rqcsma", "--decision-mode", "sampler",
              "--seeds", "1", "--seed", "1"]
+HOSTSPEED_PATH = ROOT / "perfbench" / "hostspeed.py"
+CAL_LOOPS = 10
+
+
+@functools.cache
+def perfbench_hostspeed():
+    """perfbench/hostspeed.py as a module, run from its source so nothing
+    is written next to it."""
+    module = types.ModuleType("perfbench_hostspeed")
+    code = compile(HOSTSPEED_PATH.read_text(), str(HOSTSPEED_PATH), "exec")
+    exec(code, module.__dict__)
+    return module
 
 
 def load(name, src):
@@ -81,16 +114,35 @@ def network(rs, n_relays):
     return rs.NetworkParams(n_relays=n_relays, rho=rho, lam=lam)
 
 
-def take_turns(calls):
-    """Median CPU seconds of each call, the calls run in turn REPEATS
-    times."""
-    times = [[] for _ in calls]
+def host_speed():
+    """The host's speed relative to hostspeed.NOMINAL_ITERS_PER_S, from the
+    CPU time of CAL_LOOPS calibration loops."""
+    hs = perfbench_hostspeed()
+    t0 = time.process_time()
+    for _ in range(CAL_LOOPS):
+        hs.calibration_loop(hs.CAL_ITERS)
+    iters_per_s = CAL_LOOPS * hs.CAL_ITERS / (time.process_time() - t0)
+    return iters_per_s / hs.NOMINAL_ITERS_PER_S
+
+
+def take_turns(calls, speeds):
+    """(median CPU seconds, median CPU seconds at nominal host speed) of
+    each call, the calls run in turn REPEATS times; appends the host speed
+    measured around each call to `speeds`."""
+    raw = [[] for _ in calls]
+    nominal = [[] for _ in calls]
     for _ in range(REPEATS):
-        for call, spent in zip(calls, times):
+        for call, spent, scaled in zip(calls, raw, nominal):
+            before = host_speed()
             t0 = time.process_time()
             call()
-            spent.append(time.process_time() - t0)
-    return [statistics.median(spent) for spent in times]
+            seconds = time.process_time() - t0
+            speed = 0.5 * (before + host_speed())
+            speeds.append(speed)
+            spent.append(seconds)
+            scaled.append(seconds * speed)
+    return [(statistics.median(r), statistics.median(n))
+            for r, n in zip(raw, nominal)]
 
 
 def run_once_call(rs, scheduler, n_relays):
@@ -106,6 +158,24 @@ def run_lanes_call(rs, scheduler, n_lanes):
                                  horizon=LANE_HORIZON, n_seeds=1)
     lanes = [(params.lam, seed) for seed in range(n_lanes)]
     return lambda: list(rs.lanes.run_lanes(config, lanes))
+
+
+def trace_run_call(rs, traced):
+    """run_once at the trace workload's shape, with trace=True and the
+    `run --trace` sink writing to os.devnull when `traced`."""
+    params = rs.NetworkParams(n_relays=1, rho=TRACE_RHO, lam=TRACE_LAM)
+    config = rs.ExperimentConfig(params=params, scheduler="rqcsma",
+                                 decision_mode="sampler",
+                                 horizon=TRACE_HORIZONS[0], n_seeds=1,
+                                 trace=traced)
+    if not traced:
+        return lambda: rs.run_once(config, 1)
+
+    def call():
+        with open(os.devnull, "w") as fh:
+            rs.run_once(config, 1, sink=lambda record: fh.write(
+                record.to_json() + "\n"))
+    return call
 
 
 def oracle_call(rs):
@@ -191,32 +261,50 @@ def trace(sources):
     return tables
 
 
-def measure(packages):
-    """{label: table} for the {label: package} given."""
-    tables = {label: {"run_once_us_per_slot": {},
-                      "run_lanes_ns_per_lane_slot": {}}
-              for label in packages}
+def measure(packages, speeds):
+    """{label: table} for the {label: package} given; appends every host
+    speed measured to `speeds`."""
+    tables = {label: {} for label in packages}
+
+    def put(table, key, seconds, scale, digits):
+        """Each package's (raw, nominal) `seconds`, times `scale` and
+        rounded to `digits`, at the path `key` of its table `table` and of
+        that table's nominal-speed twin."""
+        for label, (raw, nominal) in zip(packages, seconds):
+            for name, value in ((table, raw),
+                                (f"{table}_at_nominal_speed", nominal)):
+                cells = tables[label].setdefault(name, {})
+                for part in key[:-1]:
+                    cells = cells.setdefault(part, {})
+                cells[key[-1]] = round(value * scale, digits)
+
     for scheduler in SCHEDULERS:
         for n_relays in RELAYS:
-            seconds = take_turns([run_once_call(rs, scheduler, n_relays)
-                                  for rs in packages.values()])
-            for label, s in zip(packages, seconds):
-                tables[label]["run_once_us_per_slot"].setdefault(
-                    scheduler, {})[str(n_relays)] = round(
-                        s / SCALAR_HORIZON * 1e6, 3)
+            put("run_once_us_per_slot", (scheduler, str(n_relays)),
+                take_turns([run_once_call(rs, scheduler, n_relays)
+                            for rs in packages.values()], speeds),
+                1e6 / SCALAR_HORIZON, 3)
     for scheduler in LANE_SCHEDULERS:
         for n_lanes in LANE_COUNTS:
-            seconds = take_turns([run_lanes_call(rs, scheduler, n_lanes)
-                                  for rs in packages.values()])
-            for label, s in zip(packages, seconds):
-                tables[label]["run_lanes_ns_per_lane_slot"].setdefault(
-                    scheduler, {})[str(n_lanes)] = round(
-                        s / (LANE_HORIZON * n_lanes) * 1e9)
-    seconds = take_turns([oracle_call(rs) for rs in packages.values()])
-    for (label, rs), s in zip(packages.items(), seconds):
-        tables[label]["boundary_oracle"] = {
-            "runs_per_point": oracle_runs(rs),
-            "cpu_s_per_point": round(s, 3)}
+            put("run_lanes_ns_per_lane_slot", (scheduler, str(n_lanes)),
+                take_turns([run_lanes_call(rs, scheduler, n_lanes)
+                            for rs in packages.values()], speeds),
+                1e9 / (LANE_HORIZON * n_lanes), None)
+    for traced in (False, True):
+        put("trace", ("run_once_us_per_slot",
+                      "traced" if traced else "untraced"),
+            take_turns([trace_run_call(rs, traced)
+                        for rs in packages.values()], speeds),
+            1e6 / TRACE_HORIZONS[0], 3)
+    put("boundary_oracle", ("cpu_s_per_point",),
+        take_turns([oracle_call(rs) for rs in packages.values()], speeds),
+        1, 3)
+    for label, rs in packages.items():
+        tables[label]["boundary_oracle"]["runs_per_point"] = oracle_runs(rs)
+        for name in ("trace", "trace_at_nominal_speed"):
+            row = tables[label][name]["run_once_us_per_slot"]
+            row["traced_over_untraced"] = round(
+                row["traced"] / row["untraced"], 2)
     return tables
 
 
@@ -247,11 +335,28 @@ def main(argv=None):
     traced = trace(sources)
     packages = {label: load(f"relaysim_{k}", src)
                 for k, (label, src) in enumerate(sources.items())}
+    speeds = []
+    results = measure(packages, speeds)
+    quartiles = statistics.quantiles(speeds, n=4)
+    hs = perfbench_hostspeed()
     doc = {
         "host": host(),
+        "host_speed": {
+            "median": round(statistics.median(speeds), 3),
+            "quartiles": [round(quartiles[0], 3), round(quartiles[2], 3)],
+            "range": [round(min(speeds), 3), round(max(speeds), 3)],
+            "samples": len(speeds),
+        },
         "method": {
             "clock": f"time.process_time, median of {REPEATS} turns; the "
                      f"packages are imported in one process and take turns",
+            "host_speed": f"before and after each timed call, {CAL_LOOPS} "
+                          f"runs of perfbench/hostspeed.py's calibration_"
+                          f"loop({hs.CAL_ITERS}); speed = the mean of the "
+                          f"two iterations per CPU second / "
+                          f"{hs.NOMINAL_ITERS_PER_S}; a figure "
+                          f"*_at_nominal_speed is the median of its turns' "
+                          f"CPU times times their speeds",
             "run_once": f"us per slot, horizon {SCALAR_HORIZON}, contention "
                         f"decision mode, seed 1, N = {list(RELAYS)}",
             "run_lanes": f"ns per lane-slot, N = 1, horizon {LANE_HORIZON}, "
@@ -264,17 +369,21 @@ def main(argv=None):
             "startup": f"wall seconds of `import relaysim.cli` and peak RSS "
                        f"(ru_maxrss) of a fresh process, median of {REPEATS} "
                        f"processes per package, taking turns",
-            "trace": f"wall seconds of one `relaysim run --trace` call "
-                     f"(cli.main, after the import) and peak RSS (ru_maxrss) "
-                     f"of its fresh process, {' '.join(TRACE_RUN[1:])}, "
-                     f"horizon = {list(TRACE_HORIZONS)}, median of {REPEATS} "
-                     f"processes per package, taking turns",
+            "trace": f"at {' '.join(TRACE_RUN[1:])}: run_once_us_per_slot "
+                     f"is us per slot of run_once (horizon "
+                     f"{TRACE_HORIZONS[0]}) traced, its sink writing "
+                     f"record.to_json() lines to os.devnull, and untraced, "
+                     f"and their ratio; under each horizon in "
+                     f"{list(TRACE_HORIZONS)}, wall seconds of one `relaysim "
+                     f"run --trace` call (cli.main, after the import) and "
+                     f"peak RSS (ru_maxrss) of its fresh process, median of "
+                     f"{REPEATS} processes per package, taking turns",
         },
-        "results": measure(packages),
+        "results": results,
     }
     for label in sources:
-        doc["results"][label]["startup"] = started[label]
-        doc["results"][label]["trace"] = traced[label]
+        results[label]["startup"] = started[label]
+        results[label]["trace"].update(traced[label])
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["results"], indent=2))
 
