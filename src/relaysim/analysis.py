@@ -219,9 +219,11 @@ def build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha) -> TransitionMatri
     return TransitionMatrix(states, mat)
 
 
-def kolmogorov_mismatch(tm: TransitionMatrix, cycle=JOINT_CYCLE) -> float:
-    """Forward minus reverse cycle product; zero for a reversible chain."""
-    return cycle_product(tm, cycle) - cycle_product(tm, tuple(reversed(cycle)))
+def kolmogorov_mismatch(tm: TransitionMatrix) -> float:
+    """Forward minus reverse product around JOINT_CYCLE; zero for a
+    reversible chain."""
+    return (cycle_product(tm, JOINT_CYCLE)
+            - cycle_product(tm, JOINT_CYCLE[::-1]))
 
 
 def ray_direction(angle_deg):

@@ -99,6 +99,12 @@ def _require_count(name, value):
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _require_bound(name, value):
+    """Reject the box bound `value` unless it is finite and >= 0."""
+    if not 0.0 <= value < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and >= 0, got {value:g}")
+
+
 def cmd_run(args):
     with _input_errors(args):
         config = replace(_load_config(args), trace=bool(args.trace))
@@ -156,6 +162,8 @@ def cmd_sweep(args):
             box = {dest: _BOX_FLAGS[dest] if value is None else value
                    for dest, value in box.items()}
             _require_count("grid", box["grid"])
+            _require_bound("l0-max", box["l0_max"])
+            _require_bound("l1-max", box["l1_max"])
             grid = box_grid(*box.values())
     rows = sweep_grid(config, grid, workers=args.workers)
     lambdas = ",".join(f"lambda{i}" for i in range(n_nodes))

@@ -80,25 +80,21 @@ def blind_decision(params: NetworkParams, rng):
     return _decide(params, params.all_on, rng)
 
 
-def elect_rows(u, values, contends=None):
+def elect_rows(u, values, contends):
     """elect over every row of an array of uniforms (last axis: nodes).
 
     Returns the winner per row as an int64 array, -1 for Idle. `contends`,
-    a boolean array of u's shape, names the contenders; without it every
-    node contends.
+    a boolean array that broadcasts to u's shape, names the contenders.
     """
     draws = np.minimum((u * values).astype(np.int64), values - 1)
-    if contends is not None:
-        draws = np.where(contends, draws, values)  # above every real draw
+    draws = np.where(contends, draws, values)  # above every real draw
     unique = (draws == draws.min(axis=-1, keepdims=True)).sum(axis=-1) == 1
     return np.where(unique, draws.argmin(axis=-1), -1)
 
 
 def contenders(channels):
     """Who contends under an array of channel rows: node 0 and the ON
-    relays (core.transmitters); None, meaning everyone, without channels."""
-    if channels is None:
-        return None
+    relays (core.transmitters)."""
     contends = np.asarray(channels) != 0
     contends[..., 0] = True
     return contends
@@ -115,8 +111,8 @@ def elect_block(params: NetworkParams, rng, n_slots, channels=None) -> list:
     successive single-slot calls.
     """
     u = rng.uniform_matrix(n_slots, params.n_nodes)
-    winners = elect_rows(u, params.contention_window + 1,
-                         contenders(channels)).tolist()
+    contends = contenders(params.all_on if channels is None else channels)
+    winners = elect_rows(u, params.contention_window + 1, contends).tolist()
     return [IDLE if i < 0 else i for i in winners]
 
 

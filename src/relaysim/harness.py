@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 from typing import Optional
 
@@ -80,24 +80,22 @@ class RunResult:
     final_total: int
     stable: Optional[bool]  # None: fewer than MIN_CLASSIFIED_SAMPLES samples
     slope: Optional[float]
-    memory_entries: int = 0
-    distinct_channels: int = 0
-    records: list = field(default_factory=list)
+    memory_entries: int
+    distinct_channels: int
+    records: list
 
 
-def classify_stability(slots, totals, total_rate=None, horizon=None):
+def classify_stability(slots, totals, total_rate, horizon):
     """Classify a total-backlog trajectory.
 
     Least-squares slope over the samples in the final 50% of the horizon;
     stable iff that slope is below STABLE_SLOPE packets/slot and the final
-    backlog is below half of the total packets offered over the horizon
-    (vacuous for zero offered load).
+    backlog is below half of the total_rate * horizon packets offered over
+    the horizon (vacuous for zero offered load).
     """
     if len(slots) < MIN_CLASSIFIED_SAMPLES:
         raise ValueError(f"trajectory must have at least "
                          f"{MIN_CLASSIFIED_SAMPLES} samples")
-    if horizon is None:
-        horizon = slots[-1] + 1
     xs = np.asarray(slots, dtype=float)
     ys = np.asarray(totals, dtype=float)
     cut = horizon / 2.0
@@ -108,7 +106,7 @@ def classify_stability(slots, totals, total_rate=None, horizon=None):
     slope = float((xm * (y - y.mean())).sum() / denom) if denom > 0 else 0.0
 
     stable = slope < STABLE_SLOPE
-    if total_rate is not None and total_rate > 0:
+    if total_rate > 0:
         stable = stable and ys[-1] < 0.5 * horizon * total_rate
     return bool(stable), slope
 
@@ -117,12 +115,12 @@ def sample_slots(horizon):
     """The slots whose total backlog a run's trajectory records: every
     stride-th slot, at most MAX_TRAJECTORY_POINTS of them, and the last."""
     stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
-    return tuple(t for t in range(horizon)
-                 if t % stride == 0 or t == horizon - 1)
+    slots = range(0, horizon, stride)
+    return tuple(slots) if slots[-1] == horizon - 1 else (*slots, horizon - 1)
 
 
 def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
-               distinct_channels, records=None) -> RunResult:
+               distinct_channels, records) -> RunResult:
     """A run's RunResult from its sampled trajectory and its sum of per-slot
     total backlogs; a trajectory of fewer than MIN_CLASSIFIED_SAMPLES
     samples is left unclassified."""
@@ -139,7 +137,7 @@ def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
         slope=slope,
         memory_entries=memory_entries,
         distinct_channels=distinct_channels,
-        records=[] if records is None else records,
+        records=records,
     )
 
 
@@ -297,8 +295,6 @@ def aggregate_ci(values):
         raise ValueError("need at least two values for an interval")
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1))
-    if sd == 0.0:
-        return mean, 0.0
     t = float(stdtrit(n - 1, 0.5 + CI_LEVEL / 2.0))
     return mean, t * sd / math.sqrt(n)
 
@@ -322,6 +318,13 @@ def _sweep_row(index, lam, results):
     }
 
 
+def _even_split(items, n_parts):
+    """`items` cut into n_parts contiguous slices, in order, whose lengths
+    differ by at most one."""
+    bounds = [len(items) * k // n_parts for k in range(n_parts + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _sweep_batch(args):
     """Rows of a batch of (index, lam) points. All seeds of all points run
     as lanes of run_lanes calls of at most MAX_BATCH_LANES lanes each."""
@@ -331,9 +334,8 @@ def _sweep_batch(args):
     seeds = [config.params.seed + k for k in range(config.n_seeds)]
     lanes = [(lam, s) for _, lam in points for s in seeds]
     n_calls = max(1, -(-len(lanes) // MAX_BATCH_LANES))
-    bounds = [len(lanes) * k // n_calls for k in range(n_calls + 1)]
-    results = chain.from_iterable(run_lanes(config, lanes[a:b])
-                                  for a, b in zip(bounds, bounds[1:]))
+    results = chain.from_iterable(run_lanes(config, part)
+                                  for part in _even_split(lanes, n_calls))
     return [_sweep_row(index, lam, [next(results) for _ in seeds])
             for index, lam in points]
 
@@ -358,8 +360,7 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
         points.append((idx, tuple(lam)))
 
     n_batches = max(1, min(workers, len(points)))
-    bounds = [len(points) * k // n_batches for k in range(n_batches + 1)]
-    tasks = [(config, points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    tasks = [(config, part) for part in _even_split(points, n_batches)]
     if n_batches > 1:
         with ProcessPoolExecutor(max_workers=n_batches) as pool:
             batches = list(pool.map(_sweep_batch, tasks))
@@ -427,9 +428,7 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
     config = oracle_config(rho0, rho1, config)
 
     # Largest scale at which both rates remain valid arrival rates.
-    cap = min((config.params.a_max / u for u in (ux, uy) if u > 1e-12),
-              default=2.0)
-    cap = min(cap, 2.0) - 1e-9
+    cap = min(config.params.a_max / max(ux, uy), 2.0) - 1e-9
 
     # A stable cap leaves no interval to bisect: the scale is the cap.
     capped = _majority_stable(config, (cap * ux, cap * uy))
@@ -538,6 +537,6 @@ def parse_config(text, overrides=None) -> ExperimentConfig:
     return ExperimentConfig(params, **values)
 
 
-def header_lines(config: ExperimentConfig, comment="#"):
+def header_lines(config: ExperimentConfig):
     """Config-and-seed header embedded at the top of every output file."""
-    return [f"{comment} {k} = {v}" for k, v in config_to_dict(config).items()]
+    return [f"# {k} = {v}" for k, v in config_to_dict(config).items()]

@@ -94,7 +94,7 @@ def run_lanes(config: ExperimentConfig, lanes):
         yield run_result(seed, p.lam, config.horizon, slots,
                          traj[:, k].tolist(), int(acc[k]),
                          # every rqcsma slot writes its realization's cell
-                         distinct[k] if rqcsma else 0, distinct[k])
+                         distinct[k] if rqcsma else 0, distinct[k], [])
 
 
 def _simulate(config, lane_params, seeds, slots):

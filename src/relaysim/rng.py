@@ -24,11 +24,6 @@ run_once the ub election, whose contenders are the backlogged nodes, and
 the scheduler stream depend on the queues and are drawn slot by slot; the
 lane engine (lanes.run_lanes) draws the ub uniforms in blocks as well and
 reads each lane's scheduler stream from a buffer, in the same order.
-
-run_once keeps the queues as one list of ints, [Q_0, Q_1..Q_N,
-Q_01..Q_0N], and picks the scheduler's step once per run rather than per
-slot. Neither changes what a stream serves: in sampler mode a slot's
-decision uniform is still drawn just before that slot's activation coin.
 """
 
 from __future__ import annotations

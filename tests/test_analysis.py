@@ -9,7 +9,8 @@ from relaysim import (IDLE, RateRegion2, build_dtmc,
                       build_joint_channel_chain, check_detailed_balance,
                       expected_service_rates, kolmogorov_mismatch,
                       product_form, solve_stationary)
-from relaysim.analysis import TransitionMatrix, chain_states
+from relaysim.analysis import (StationaryDistribution, TransitionMatrix,
+                               chain_states)
 
 
 def random_alpha(rng, nodes):
@@ -47,6 +48,19 @@ class TestBuildDtmc:
         with pytest.raises(ValueError):
             build_dtmc((1, 1), {0: 0.5, 1: 0.5}, {IDLE: 0.5, 0: 0.5, 1: 0.0})
 
+    @pytest.mark.parametrize("probs,alpha,message", [
+        ({0: 0.5}, {IDLE: 0.2, 0: 0.4, 1: 0.4},
+         "activation_probs must cover exactly the feasible nodes"),
+        ({0: 0.5, 1: 0.5, 2: 0.5}, {IDLE: 0.2, 0: 0.4, 1: 0.4},
+         "activation_probs must cover exactly the feasible nodes"),
+        ({0: 0.5, 1: 0.5}, {IDLE: 0.2, 0: 0.4, 1: 0.3},
+         "alpha must sum to 1 over the feasible schedules"),
+        ({0: 0.5, 1: 0.5}, {IDLE: 0.2, 0: 0.4, 1: 0.5},
+         "alpha must sum to 1 over the feasible schedules")])
+    def test_bad_probabilities_rejected(self, probs, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            build_dtmc((1, 1), probs, alpha)
+
 
 class TestSolveStationary:
     def test_doubly_stochastic(self):
@@ -65,6 +79,21 @@ class TestSolveStationary:
                         {IDLE: 0.5, 0: 0.25, 2: 0.25})
         pi = solve_stationary(tm)
         assert abs(pi.pi.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("probs,message", [
+        ([[1.0]], "matrix shape does not match state count"),
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+         "matrix shape does not match state count"),
+        ([[1.2, -0.2], [0.5, 0.5]], "negative transition probability"),
+        ([[0.5, 0.5], [0.5, 0.4]], "rows must sum to 1")])
+    def test_bad_transition_matrix_rejected(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix((IDLE, 0), np.array(probs))
+
+    @pytest.mark.parametrize("pi", [[0.5, 0.4], [1.1, -0.1], [0.5, 0.6]])
+    def test_not_a_probability_vector_rejected(self, pi):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            StationaryDistribution((IDLE, 0), np.array(pi))
 
 
 class TestProductForm:
@@ -115,6 +144,13 @@ class TestJointChainCounterexample:
         pi = solve_stationary(tm)
         assert check_detailed_balance(tm, pi) > 1e-9
 
+    @pytest.mark.parametrize("alpha", [(0.6, 0.5), (1.0, 0.1), (-0.1, 0.4),
+                                       (0.4, -0.1)])
+    def test_bad_election_probabilities_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"a0\+a1 <= 1"):
+            build_joint_channel_chain(0.4, p0_on=0.9, p0_off=0.3, p1=0.6,
+                                      alpha=alpha)
+
     def test_equal_activation_restores_reversibility(self):
         tm = build_joint_channel_chain(0.4, p0_on=0.55, p0_off=0.55, p1=0.6,
                                        alpha=(0.4, 0.4))
@@ -134,6 +170,12 @@ class TestRateRegion:
 
     def test_origin_is_interior(self):
         assert RateRegion2(0.4, 0.7).contains(0.0, 0.0)
+
+    @pytest.mark.parametrize("rates", [(-0.1, 0.1), (0.1, -0.1),
+                                       (-0.1, -0.1)])
+    def test_negative_rate_rejected(self, rates):
+        with pytest.raises(ValueError, match="rates must be non-negative"):
+            RateRegion2(0.4, 0.7).contains(*rates)
 
     def test_low_relay_probability_case(self):
         region = RateRegion2(0.5, 0.4)

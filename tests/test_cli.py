@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaysim
-from relaysim import ExperimentConfig, NetworkParams, cli, harness
+from relaysim import ExperimentConfig, NetworkParams, analysis, cli, harness
 from relaysim.cli import main
 from relaysim.harness import DECISION_MODES, parse_config
 from relaysim.scheduling import SCHEDULER_KINDS
@@ -87,6 +87,18 @@ def test_dtmc_check_without_trials_rejected(tmp_path, trials):
     assert info.value.code == (f"relaysim dtmc-check: trials must be >= 1, "
                                f"got {trials}")
     assert not out.exists()
+
+
+def test_failing_dtmc_check_exits_1_after_writing_its_report(tmp_path,
+                                                              monkeypatch):
+    report = {"chains_checked": 1, "max_product_form_gap": 0.5,
+              "max_detailed_balance_violation": 0.0, "pass": False}
+    monkeypatch.setattr(analysis, "dtmc_check", lambda trials, seed: report)
+    out = tmp_path / "dtmc.json"
+    with pytest.raises(SystemExit) as info:
+        main(["dtmc-check", "--out", str(out)])
+    assert info.value.code == 1
+    assert json.loads(out.read_text()) == report
 
 
 def test_dtmc_check_without_trials_exit_status(tmp_path):
@@ -429,6 +441,14 @@ def test_boundary_oracle_off_quadrant_angle_rejected(tmp_path, angle):
      "relaysim run: arrival rates must be non-negative numbers"),
     (["run", "--horizon", "x"],
      "relaysim run: horizon: invalid literal for int() with base 10: 'x'"),
+    (["sweep", "--l0-max", "nan"],
+     "relaysim sweep: l0-max must be finite and >= 0, got nan"),
+    (["sweep", "--l0-max", "inf"],
+     "relaysim sweep: l0-max must be finite and >= 0, got inf"),
+    (["sweep", "--l1-max", "inf"],
+     "relaysim sweep: l1-max must be finite and >= 0, got inf"),
+    (["sweep", "--l1-max=-0.5"],
+     "relaysim sweep: l1-max must be finite and >= 0, got -0.5"),
 ])
 def test_bad_input_exits_before_output(tmp_path, argv, message):
     out = tmp_path / "out"
@@ -485,12 +505,14 @@ def test_errors_after_validation_keep_their_traceback(tmp_path, monkeypatch):
         main(["run", "--out", str(tmp_path / "out")])
 
 
-def test_nan_box_sweep_writes_error_rows(tmp_path):
+def test_nan_gamma_sweep_writes_error_rows(tmp_path):
     out = tmp_path / "sweep.csv"
-    main(["sweep", "--l0-max", "nan", "--grid", "2", "--horizon", "100",
-          "--seeds", "1", "--out", str(out)])
+    main(["sweep", "--gamma", "nan,0,inf", "--horizon", "100", "--seeds", "1",
+          "--out", str(out)])
     rows = [l for l in read_lines(out) if not l.startswith("#")][1:]
-    assert [row.split(",")[2] for row in rows] == ["error"] * 4
+    assert [row.split(",")[2] == "error" for row in rows] == [True, False,
+                                                             True]
+
 
 
 def test_boundary_oracle_header_is_the_config_it_ran(tmp_path, monkeypatch):
@@ -565,7 +587,8 @@ def cli_config(argv):
 @settings(max_examples=60, deadline=None)
 @given(configs(), st.sets(st.sampled_from(sorted(FLAG_OF_KEY))))
 def test_header_round_trip_and_flags_equal_file_keys(config, flag_keys):
-    assert parse_config("\n".join(harness.header_lines(config, ""))) == config
+    assert parse_config("\n".join(line.removeprefix("# ") for line
+                                  in harness.header_lines(config))) == config
 
     items = harness.config_to_dict(config)
     flags = []
@@ -595,6 +618,11 @@ def test_unwritable_output_rejected_before_simulating(tmp_path, monkeypatch,
         f"{tmp_path / 'nodir'} does not exist")
     assert exit_message([command, flag, str(tmp_path)] + argv[3:]) == (
         f"relaysim {command}: {flag} {tmp_path}: is a directory")
+    assert list(tmp_path.iterdir()) == []
+    # root passes the real check, so the denial is simulated
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert exit_message([command, flag, str(tmp_path / "x")] + argv[3:]) == (
+        f"relaysim {command}: {flag} {tmp_path / 'x'}: permission denied")
     assert list(tmp_path.iterdir()) == []
 
 

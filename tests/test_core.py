@@ -315,6 +315,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             params_for((0.5, 0.5), seed=-1)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"n_relays": 0}, "need at least one relay"),
+        ({"a_max": 0}, "a_max must be >= 1"),
+        ({"contention_window": 0}, "contention window must be >= 1")])
+    def test_counts_below_one_rejected(self, kw, message):
+        args = {"n_relays": 1, "rho": (0.5, 0.5), "lam": (0.0, 0.0)}
+        with pytest.raises(ValueError, match=message):
+            NetworkParams(**{**args, **kw})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam", "beta", "activation_gain"])
     def test_non_finite_rejected(self, field, value):

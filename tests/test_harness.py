@@ -25,20 +25,20 @@ def make_config(lam=(0.0, 0.0), rho=(0.4, 0.7), **kw):
 class TestClassifyStability:
     def test_constant_trajectory(self):
         slots = tuple(range(1000))
-        stable, slope = classify_stability(slots, (7,) * 1000)
+        stable, slope = classify_stability(slots, (7,) * 1000, 0.0, 1000)
         assert stable and slope == 0.0
 
     def test_linear_growth_unstable(self):
         slots = tuple(range(10_000))
         totals = tuple(0.02 * t for t in slots)
-        stable, slope = classify_stability(slots, totals)
+        stable, slope = classify_stability(slots, totals, 0.0, 10_000)
         assert not stable
         assert slope == pytest.approx(0.02, rel=1e-6)
 
     def test_sublinear_growth_stable(self):
         slots = tuple(range(10_000))
         totals = tuple(0.5 * math.sqrt(t) for t in slots)
-        stable, slope = classify_stability(slots, totals)
+        stable, slope = classify_stability(slots, totals, 0.0, 10_000)
         assert stable and 0 < slope < 5e-3
 
     def test_huge_final_backlog_unstable(self):
@@ -51,7 +51,7 @@ class TestClassifyStability:
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
-            classify_stability(tuple(range(50)), (0.0,) * 50)
+            classify_stability(tuple(range(50)), (0.0,) * 50, 0.0, 50)
 
 
 class TestAggregateCi:
@@ -210,6 +210,13 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             parse_config("bogus = 3\n")
 
+    @pytest.mark.parametrize("text,lineno", [("horizon 5\n", 1),
+                                             ("seed = 2\n# c\nrho\n", 3)])
+    def test_line_without_equals_rejected(self, text, lineno):
+        with pytest.raises(ValueError,
+                           match=f"^line {lineno}: expected key = value$"):
+            parse_config(text)
+
     def test_empty_config_is_dataclass_defaults(self):
         assert parse_config("") == ExperimentConfig(
             NetworkParams(1, (0.4, 0.7), (0.0, 0.0)))
@@ -242,7 +249,8 @@ class TestConfigFile:
         cfg = make_config(lam=(0.5, 0.5))
         cfg = replace(cfg, params=replace(cfg.params, a_max=a_max))
         assert f"# arrival_law = {law}" in header_lines(cfg)
-        assert parse_config("\n".join(header_lines(cfg, ""))) == cfg
+        assert parse_config("\n".join(line.removeprefix("# ")
+                                      for line in header_lines(cfg))) == cfg
         text = f"a_max = {a_max}\nlambda = 0.5, 0.5\narrival_law = {law}\n"
         assert parse_config(text) == cfg
         other = "binomial" if law == "bernoulli" else "bernoulli"
@@ -468,7 +476,8 @@ def test_oracle_makes_one_run_seeds_call_per_probe(monkeypatch):
     assert len(log) > len(probes)  # some probe ran its third seed
 
 
-@pytest.mark.parametrize("horizon", [1, 2, 99, 10_000, 10_001, 50_001])
+@pytest.mark.parametrize("horizon", [1, 2, 99, 100, 101, 10_000, 10_001,
+                                     50_001, 99_999])
 def test_sample_slots_stride(horizon):
     slots = sample_slots(horizon)
     assert slots[0] == 0 and slots[-1] == horizon - 1

@@ -20,9 +20,11 @@ the CPU time (time.process_time) of:
 - run_once at the shape of the benchmark's trace workload (below), horizon
   TRACE_HORIZONS[0]: microseconds per slot with trace=True and a sink that
   writes each record's to_json() line to os.devnull, the same run untraced,
-  and the ratio of the two.
+  and the ratio of the two medians.
 
-Each figure is the median of REPEATS turns. Right before and right after
+Each figure is given as the median of its REPEATS turns and their first
+and third quartiles ({"median": m, "quartiles": [q1, q3]}), so two columns
+can be compared against their spread. Right before and right after
 each timed call the calibration loop of the benchmark's
 perfbench/hostspeed.py runs CAL_LOOPS times; the mean of the two speeds,
 relative to that module's nominal speed, is the host's speed for the call,
@@ -125,9 +127,19 @@ def host_speed():
     return iters_per_s / hs.NOMINAL_ITERS_PER_S
 
 
+def spread(values, scale=1, digits=3):
+    """The median and the first and third quartiles of `values`, each times
+    `scale` and rounded to `digits` (statistics.quantiles' default
+    exclusive method)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(statistics.median(values) * scale, digits),
+            "quartiles": [round(q1 * scale, digits),
+                          round(q3 * scale, digits)]}
+
+
 def take_turns(calls, speeds):
-    """(median CPU seconds, median CPU seconds at nominal host speed) of
-    each call, the calls run in turn REPEATS times; appends the host speed
+    """(CPU seconds, CPU seconds at nominal host speed) of each call's
+    turns, the calls run in turn REPEATS times; appends the host speed
     measured around each call to `speeds`."""
     raw = [[] for _ in calls]
     nominal = [[] for _ in calls]
@@ -141,8 +153,7 @@ def take_turns(calls, speeds):
             speeds.append(speed)
             spent.append(seconds)
             scaled.append(seconds * speed)
-    return [(statistics.median(r), statistics.median(n))
-            for r, n in zip(raw, nominal)]
+    return list(zip(raw, nominal))
 
 
 def run_once_call(rs, scheduler, n_relays):
@@ -222,9 +233,9 @@ print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def fresh_runs(sources, probe, argv=()):
-    """{label: (median wall seconds, median peak RSS in MB)} of `probe` run
-    with `argv` in REPEATS fresh processes per {label: package directory},
-    the packages taking turns."""
+    """{label: (wall seconds, peak RSS in MB)}, each a list over REPEATS
+    fresh processes running `probe` with `argv` per {label: package
+    directory}, the packages taking turns."""
     samples = {label: [] for label in sources}
     for _ in range(REPEATS):
         for label, src in sources.items():
@@ -233,14 +244,13 @@ def fresh_runs(sources, probe, argv=()):
                                  env=env, check=True, capture_output=True,
                                  text=True).stdout.split()
             samples[label].append([float(v) for v in out])
-    return {label: tuple(statistics.median(v) for v in zip(*runs))
-            for label, runs in samples.items()}
+    return {label: tuple(zip(*runs)) for label, runs in samples.items()}
 
 
 def startup(sources):
     """{label: start-up table} for the {label: package directory} given."""
-    return {label: {"import_cli_s": round(seconds, 3),
-                    "peak_rss_mb": round(rss, 1)}
+    return {label: {"import_cli_s": spread(seconds),
+                    "peak_rss_mb": spread(rss, digits=1)}
             for label, (seconds, rss) in fresh_runs(sources,
                                                     STARTUP_PROBE).items()}
 
@@ -256,8 +266,8 @@ def trace(sources):
             runs = fresh_runs(sources, TRACE_PROBE, argv)
             for label, (seconds, rss) in runs.items():
                 tables[label][str(horizon)] = {
-                    "wall_s": round(seconds, 3),
-                    "peak_rss_mb": round(rss, 1)}
+                    "wall_s": spread(seconds),
+                    "peak_rss_mb": spread(rss, digits=1)}
     return tables
 
 
@@ -267,16 +277,16 @@ def measure(packages, speeds):
     tables = {label: {} for label in packages}
 
     def put(table, key, seconds, scale, digits):
-        """Each package's (raw, nominal) `seconds`, times `scale` and
-        rounded to `digits`, at the path `key` of its table `table` and of
-        that table's nominal-speed twin."""
+        """The spread of each package's (raw, nominal) `seconds`, times
+        `scale` and rounded to `digits`, at the path `key` of its table
+        `table` and of that table's nominal-speed twin."""
         for label, (raw, nominal) in zip(packages, seconds):
             for name, value in ((table, raw),
                                 (f"{table}_at_nominal_speed", nominal)):
                 cells = tables[label].setdefault(name, {})
                 for part in key[:-1]:
                     cells = cells.setdefault(part, {})
-                cells[key[-1]] = round(value * scale, digits)
+                cells[key[-1]] = spread(value, scale, digits)
 
     for scheduler in SCHEDULERS:
         for n_relays in RELAYS:
@@ -304,7 +314,7 @@ def measure(packages, speeds):
         for name in ("trace", "trace_at_nominal_speed"):
             row = tables[label][name]["run_once_us_per_slot"]
             row["traced_over_untraced"] = round(
-                row["traced"] / row["untraced"], 2)
+                row["traced"]["median"] / row["untraced"]["median"], 2)
     return tables
 
 
@@ -337,25 +347,24 @@ def main(argv=None):
                 for k, (label, src) in enumerate(sources.items())}
     speeds = []
     results = measure(packages, speeds)
-    quartiles = statistics.quantiles(speeds, n=4)
     hs = perfbench_hostspeed()
     doc = {
         "host": host(),
         "host_speed": {
-            "median": round(statistics.median(speeds), 3),
-            "quartiles": [round(quartiles[0], 3), round(quartiles[2], 3)],
+            **spread(speeds),
             "range": [round(min(speeds), 3), round(max(speeds), 3)],
             "samples": len(speeds),
         },
         "method": {
-            "clock": f"time.process_time, median of {REPEATS} turns; the "
+            "clock": f"time.process_time over {REPEATS} turns, each figure "
+                     f"their median and first and third quartiles; the "
                      f"packages are imported in one process and take turns",
             "host_speed": f"before and after each timed call, {CAL_LOOPS} "
                           f"runs of perfbench/hostspeed.py's calibration_"
                           f"loop({hs.CAL_ITERS}); speed = the mean of the "
                           f"two iterations per CPU second / "
                           f"{hs.NOMINAL_ITERS_PER_S}; a figure "
-                          f"*_at_nominal_speed is the median of its turns' "
+                          f"*_at_nominal_speed is the spread of its turns' "
                           f"CPU times times their speeds",
             "run_once": f"us per slot, horizon {SCALAR_HORIZON}, contention "
                         f"decision mode, seed 1, N = {list(RELAYS)}",
@@ -367,16 +376,17 @@ def main(argv=None):
                                f"{ORACLE_HORIZON}, resolution "
                                f"{ORACLE_RESOLUTION:g}, seed 1",
             "startup": f"wall seconds of `import relaysim.cli` and peak RSS "
-                       f"(ru_maxrss) of a fresh process, median of {REPEATS} "
+                       f"(ru_maxrss) of a fresh process over {REPEATS} "
                        f"processes per package, taking turns",
             "trace": f"at {' '.join(TRACE_RUN[1:])}: run_once_us_per_slot "
                      f"is us per slot of run_once (horizon "
                      f"{TRACE_HORIZONS[0]}) traced, its sink writing "
                      f"record.to_json() lines to os.devnull, and untraced, "
-                     f"and their ratio; under each horizon in "
-                     f"{list(TRACE_HORIZONS)}, wall seconds of one `relaysim "
-                     f"run --trace` call (cli.main, after the import) and "
-                     f"peak RSS (ru_maxrss) of its fresh process, median of "
+                     f"and the ratio of their medians; under each horizon "
+                     f"in {list(TRACE_HORIZONS)}, wall seconds of one "
+                     f"`relaysim run --trace` call (cli.main, after the "
+                     f"import) and peak RSS (ru_maxrss) of its fresh process "
+                     f"over "
                      f"{REPEATS} processes per package, taking turns",
         },
         "results": results,
