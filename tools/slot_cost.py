@@ -4,21 +4,20 @@
 
 Each LABEL=SRC names a directory SRC holding a relaysim package (a
 checkout's `src/`); without any, the table covers this checkout as
-`this checkout`. Every package is imported side by side in this one
-process under its own name, and the packages take turns on every
-measurement, so a drift in host speed reaches them alike. The table holds
-the CPU time (time.process_time) of:
+`this checkout`. An argument without `=`, or a SRC without a
+relaysim/__init__.py, exits with status 2 before anything is measured.
+Every package is imported side by side in this one process under its own
+name, and the packages take turns on every measurement, so a drift in host
+speed reaches them alike. The table holds the CPU time (time.process_time)
+of:
 
 - run_once: microseconds per slot for each scheduler at N = 1, 3 and 8
   relays, horizon 2e4, contention decision mode;
 - lanes.run_lanes: nanoseconds per lane-slot for mws and rqcsma at N = 1,
   horizon 1e4, with 3, 12, 24 and 48 lanes (one seed per lane);
-- harness.boundary_oracle at the shape of the benchmark's oracle workload
-  (rho = (0.4, 0.7), a 30 degree ray, mws, 3 seeds, horizon 5e4,
-  resolution 0.04, seed 1): CPU seconds per boundary point, and the
-  run_once calls (runs) one boundary point makes, counted in one more call;
-- run_once at the shape of the benchmark's trace workload (below), horizon
-  TRACE_HORIZONS[0]: microseconds per slot with trace=True and a sink that
+- run_once at the shape of the benchmark's trace workload (rho = (0.4, 0.7),
+  lambda = (0.5, 0.15), rqcsma in sampler mode, one seed), horizon
+  TRACE_HORIZON: microseconds per slot with trace=True and a sink that
   writes each record's to_json() line to os.devnull, the same run untraced,
   and the ratio of the two medians.
 
@@ -36,15 +35,9 @@ script move with the host's speed between them; the nominal ones take that
 speed out, so they are the ones to compare across files written at
 different times.
 
-Two tables are measured in REPEATS fresh processes per package (the
-packages again take turns):
-
-- startup: the wall time of `import relaysim.cli` and the peak RSS of the
-  process that made it;
-- trace: the wall time of one `relaysim run --trace` call (cli.main, after
-  the import) and the peak RSS of its process, at the shape of the
-  benchmark's trace workload (rho = (0.4, 0.7), lambda = (0.5, 0.15),
-  rqcsma in sampler mode, one seed) for each horizon in TRACE_HORIZONS.
+Start-up time, peak memory, `run --trace` as a whole and the boundary
+oracle are measured by the benchmark itself (perfbench/run.py: setup_s,
+peak_rss_mb and norm_slots_per_s of its workloads), not here.
 """
 
 from __future__ import annotations
@@ -56,9 +49,7 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 import types
 from pathlib import Path
@@ -71,18 +62,9 @@ SCALAR_HORIZON = 20_000
 LANE_COUNTS = (3, 12, 24, 48)
 LANE_SCHEDULERS = ("mws", "rqcsma")
 LANE_HORIZON = 10_000
-ORACLE_RHO = (0.4, 0.7)
-ORACLE_ANGLE = 30.0
-ORACLE_SEEDS = 3
-ORACLE_HORIZON = 50_000
-ORACLE_RESOLUTION = 0.04
-TRACE_HORIZONS = (20_000, 100_000)
+TRACE_HORIZON = 20_000
 TRACE_RHO = (0.4, 0.7)
 TRACE_LAM = (0.5, 0.15)
-TRACE_RUN = ["run", "--rho", ",".join(map(str, TRACE_RHO)),
-             "--lambda", ",".join(map(str, TRACE_LAM)),
-             "--scheduler", "rqcsma", "--decision-mode", "sampler",
-             "--seeds", "1", "--seed", "1"]
 HOSTSPEED_PATH = ROOT / "perfbench" / "hostspeed.py"
 CAL_LOOPS = 10
 
@@ -177,7 +159,7 @@ def trace_run_call(rs, traced):
     params = rs.NetworkParams(n_relays=1, rho=TRACE_RHO, lam=TRACE_LAM)
     config = rs.ExperimentConfig(params=params, scheduler="rqcsma",
                                  decision_mode="sampler",
-                                 horizon=TRACE_HORIZONS[0], n_seeds=1,
+                                 horizon=TRACE_HORIZON, n_seeds=1,
                                  trace=traced)
     if not traced:
         return lambda: rs.run_once(config, 1)
@@ -189,92 +171,11 @@ def trace_run_call(rs, traced):
     return call
 
 
-def oracle_call(rs):
-    params = rs.NetworkParams(n_relays=1, rho=ORACLE_RHO, lam=(0.0, 0.0),
-                              seed=1)
-    config = rs.ExperimentConfig(params=params, scheduler="mws",
-                                 horizon=ORACLE_HORIZON, n_seeds=ORACLE_SEEDS)
-    return lambda: rs.harness.boundary_oracle(
-        *ORACLE_RHO, ORACLE_ANGLE, config, resolution=ORACLE_RESOLUTION)
-
-
-def oracle_runs(rs):
-    """The run_once calls of one boundary_oracle call at the oracle shape."""
-    harness, seeds = rs.harness, []
-    run_once = harness.run_once
-    harness.run_once = lambda config, seed, **kw: (
-        seeds.append(seed) or run_once(config, seed, **kw))
-    try:
-        oracle_call(rs)()
-    finally:
-        harness.run_once = run_once
-    return len(seeds)
-
-
-# Run in a fresh interpreter with PYTHONPATH set to a package's directory:
-# prints the wall seconds of `import relaysim.cli` and the peak RSS in MB.
-STARTUP_PROBE = """\
-import resource, time
-t0 = time.perf_counter()
-import relaysim.cli
-seconds = time.perf_counter() - t0
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-"""
-# Likewise, with the argv of a `relaysim run` after the script: prints the
-# wall seconds of that cli.main call and the peak RSS in MB.
-TRACE_PROBE = """\
-import resource, sys, time
-import relaysim.cli
-t0 = time.perf_counter()
-relaysim.cli.main(sys.argv[1:])
-seconds = time.perf_counter() - t0
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-"""
-
-
-def fresh_runs(sources, probe, argv=()):
-    """{label: (wall seconds, peak RSS in MB)}, each a list over REPEATS
-    fresh processes running `probe` with `argv` per {label: package
-    directory}, the packages taking turns."""
-    samples = {label: [] for label in sources}
-    for _ in range(REPEATS):
-        for label, src in sources.items():
-            env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-            out = subprocess.run([sys.executable, "-c", probe, *argv],
-                                 env=env, check=True, capture_output=True,
-                                 text=True).stdout.split()
-            samples[label].append([float(v) for v in out])
-    return {label: tuple(zip(*runs)) for label, runs in samples.items()}
-
-
-def startup(sources):
-    """{label: start-up table} for the {label: package directory} given."""
-    return {label: {"import_cli_s": spread(seconds),
-                    "peak_rss_mb": spread(rss, digits=1)}
-            for label, (seconds, rss) in fresh_runs(sources,
-                                                    STARTUP_PROBE).items()}
-
-
-def trace(sources):
-    """{label: trace table} for the {label: package directory} given."""
-    tables = {label: {} for label in sources}
-    with tempfile.TemporaryDirectory() as tmp:
-        for horizon in TRACE_HORIZONS:
-            argv = TRACE_RUN + ["--horizon", str(horizon),
-                                "--trace", str(Path(tmp) / "trace.jsonl"),
-                                "--out", str(Path(tmp) / "summary.json")]
-            runs = fresh_runs(sources, TRACE_PROBE, argv)
-            for label, (seconds, rss) in runs.items():
-                tables[label][str(horizon)] = {
-                    "wall_s": spread(seconds),
-                    "peak_rss_mb": spread(rss, digits=1)}
-    return tables
-
-
-def measure(packages, speeds):
-    """{label: table} for the {label: package} given; appends every host
-    speed measured to `speeds`."""
+def measure(packages):
+    """({label: table} for the {label: package} given, the host speeds
+    measured around the timed calls)."""
     tables = {label: {} for label in packages}
+    speeds = []
 
     def put(table, key, seconds, scale, digits):
         """The spread of each package's (raw, nominal) `seconds`, times
@@ -305,17 +206,13 @@ def measure(packages, speeds):
                       "traced" if traced else "untraced"),
             take_turns([trace_run_call(rs, traced)
                         for rs in packages.values()], speeds),
-            1e6 / TRACE_HORIZONS[0], 3)
-    put("boundary_oracle", ("cpu_s_per_point",),
-        take_turns([oracle_call(rs) for rs in packages.values()], speeds),
-        1, 3)
-    for label, rs in packages.items():
-        tables[label]["boundary_oracle"]["runs_per_point"] = oracle_runs(rs)
+            1e6 / TRACE_HORIZON, 3)
+    for label in packages:
         for name in ("trace", "trace_at_nominal_speed"):
             row = tables[label][name]["run_once_us_per_slot"]
             row["traced_over_untraced"] = round(
                 row["traced"]["median"] / row["untraced"]["median"], 2)
-    return tables
+    return tables, speeds
 
 
 def host():
@@ -339,14 +236,18 @@ def main(argv=None):
     parser.add_argument("--out", default=str(ROOT / "BENCH_scalar.json"))
     args = parser.parse_args(argv)
 
-    sources = dict(s.split("=", 1) for s in args.sources) or {
-        "this checkout": str(ROOT / "src")}
-    started = startup(sources)
-    traced = trace(sources)
+    sources = {}
+    for source in args.sources or [f"this checkout={ROOT / 'src'}"]:
+        label, eq, src = source.partition("=")
+        if not eq:
+            parser.error(f"argument LABEL=SRC: {source!r} has no '='")
+        if not (Path(src) / "relaysim" / "__init__.py").is_file():
+            parser.error(f"argument LABEL=SRC: {source!r}: no "
+                         f"relaysim/__init__.py under {src!r}")
+        sources[label] = src
     packages = {label: load(f"relaysim_{k}", src)
                 for k, (label, src) in enumerate(sources.items())}
-    speeds = []
-    results = measure(packages, speeds)
+    results, speeds = measure(packages)
     hs = perfbench_hostspeed()
     doc = {
         "host": host(),
@@ -370,30 +271,14 @@ def main(argv=None):
                         f"decision mode, seed 1, N = {list(RELAYS)}",
             "run_lanes": f"ns per lane-slot, N = 1, horizon {LANE_HORIZON}, "
                          f"lanes = {list(LANE_COUNTS)}",
-            "boundary_oracle": f"runs and CPU seconds per boundary point, "
-                               f"rho = {list(ORACLE_RHO)}, {ORACLE_ANGLE:g} "
-                               f"degrees, mws, {ORACLE_SEEDS} seeds, horizon "
-                               f"{ORACLE_HORIZON}, resolution "
-                               f"{ORACLE_RESOLUTION:g}, seed 1",
-            "startup": f"wall seconds of `import relaysim.cli` and peak RSS "
-                       f"(ru_maxrss) of a fresh process over {REPEATS} "
-                       f"processes per package, taking turns",
-            "trace": f"at {' '.join(TRACE_RUN[1:])}: run_once_us_per_slot "
-                     f"is us per slot of run_once (horizon "
-                     f"{TRACE_HORIZONS[0]}) traced, its sink writing "
-                     f"record.to_json() lines to os.devnull, and untraced, "
-                     f"and the ratio of their medians; under each horizon "
-                     f"in {list(TRACE_HORIZONS)}, wall seconds of one "
-                     f"`relaysim run --trace` call (cli.main, after the "
-                     f"import) and peak RSS (ru_maxrss) of its fresh process "
-                     f"over "
-                     f"{REPEATS} processes per package, taking turns",
+            "trace": f"us per slot of run_once at rho = {list(TRACE_RHO)}, "
+                     f"lambda = {list(TRACE_LAM)}, rqcsma, sampler decision "
+                     f"mode, horizon {TRACE_HORIZON}, seed 1: traced, its "
+                     f"sink writing record.to_json() lines to os.devnull, "
+                     f"untraced, and the ratio of their medians",
         },
         "results": results,
     }
-    for label in sources:
-        results[label]["startup"] = started[label]
-        results[label]["trace"].update(traced[label])
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["results"], indent=2))
 
