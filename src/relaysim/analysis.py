@@ -227,16 +227,15 @@ def kolmogorov_mismatch(tm: TransitionMatrix) -> float:
 
 
 def ray_direction(angle_deg):
-    """Unit direction of the ray at angle_deg from the lambda0 axis; the ray
-    must point into the first quadrant, up to rounding."""
+    """Unit direction of the ray at angle_deg from the lambda0 axis; the
+    angle must lie in [0, 90] degrees, so the ray points into the first
+    quadrant and both components are >= 0."""
     if not math.isfinite(angle_deg):
         raise ValueError(f"angle must be finite, got {angle_deg:g}")
-    theta = math.radians(angle_deg)
-    ux, uy = math.cos(theta), math.sin(theta)
-    if ux < -1e-12 or uy < -1e-12:
+    if not 0 <= angle_deg <= 90:
         raise ValueError(f"angle must lie in [0, 90] degrees, "
-                         f"got {angle_deg:g}")
-    return max(ux, 0.0), max(uy, 0.0)
+                         f"got {angle_deg:.15g}")
+    return math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,20 @@ def _output(args):
 @contextlib.contextmanager
 def _input_errors(args):
     """Turn bad input (ValueError or OSError) into a one-line exit. The
-    output paths (--out, --trace) are checked first, so a command that
-    cannot write its output fails before it computes anything."""
+    file flags (--config, --out, --trace) are checked first: each output
+    must be writable and no two flags may name one file, so a command that
+    cannot write its output, or would overwrite its config, fails before it
+    reads or computes anything."""
     try:
-        for flag in ("out", "trace"):
-            _require_writable(flag, getattr(args, flag, None))
+        files = [(f, getattr(args, f)) for f in ("config", "out", "trace")
+                 if getattr(args, f, None) is not None]
+        for i, (flag, path) in enumerate(files):
+            if flag != "config":
+                _require_writable(flag, path)
+            for other, other_path in files[i + 1:]:
+                if _same_file(path, other_path):
+                    raise ValueError(f"--{flag} and --{other} name the same "
+                                     f"file: {path}")
         yield
     except (ValueError, OSError) as exc:
         raise SystemExit(f"relaysim {args.command}: {exc}") from None
@@ -73,8 +82,6 @@ def _input_errors(args):
 def _require_writable(flag, path):
     """Reject the --`flag` output path unless it names a file that can be
     created or overwritten; creates nothing."""
-    if path is None:
-        return
     target = Path(path)
     directory = target.parent
     if not directory.is_dir():
@@ -108,9 +115,6 @@ def _require_bound(name, value):
 def cmd_run(args):
     with _input_errors(args):
         config = replace(_load_config(args), trace=bool(args.trace))
-        if args.trace and args.out and _same_file(args.out, args.trace):
-            raise ValueError(f"--out and --trace name the same file: "
-                             f"{args.out}")
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(json.dumps({"config": config_to_dict(config)}) + "\n")

@@ -45,8 +45,9 @@ MIN_CLASSIFIED_SAMPLES = 100
 # run's draw buffers at any horizon.
 BLOCK_SLOTS = 1024
 # Most lanes per run_lanes call of a sweep batch; bounds a batch's arrays
-# (about 0.1 MB per lane at horizon 1e4), while the per-lane cost has
-# leveled off well below it.
+# (about 0.1 MB per lane at horizon 1e4) at some cost in throughput: the
+# cost per lane-slot still falls as lanes are added up to the cap (ROADMAP,
+# Baseline, lane engine).
 MAX_BATCH_LANES = 256
 CI_LEVEL = 0.90  # level of aggregate_ci's two-sided Student-t interval
 

@@ -10,7 +10,8 @@ from relaysim import (IDLE, RateRegion2, build_dtmc,
                       expected_service_rates, kolmogorov_mismatch,
                       product_form, solve_stationary)
 from relaysim.analysis import (StationaryDistribution, TransitionMatrix,
-                               chain_states)
+                               chain_states, ray_direction)
+from relaysim.cli import main
 
 
 def random_alpha(rng, nodes):
@@ -231,6 +232,38 @@ class TestRateRegion:
             pa = below.boundary(float(angle))
             pb = above.boundary(float(angle))
             assert math.dist(pa, pb) < 1e-4
+
+
+@pytest.mark.parametrize("angle", [360.0, 450.0, -360.0, 720.0, 90 + 1e-9,
+                                   -1e-13])
+def test_ray_direction_rejects_angle_outside_quadrant(angle):
+    # 360 and its kin point along an axis, but they are not in [0, 90]
+    with pytest.raises(ValueError, match=r"angle must lie in \[0, 90\]"):
+        ray_direction(angle)
+
+
+def test_ray_direction_message_shows_the_angle():
+    with pytest.raises(ValueError) as info:
+        ray_direction(90 + 1e-9)
+    assert str(info.value) == ("angle must lie in [0, 90] degrees, "
+                               "got 90.000000001")
+
+
+def test_ray_direction_is_cos_and_sin_over_the_quadrant():
+    for angle in np.linspace(0, 90, 181):
+        theta = math.radians(angle)
+        assert ray_direction(angle) == (math.cos(theta), math.sin(theta))
+
+
+def test_boundary_oracle_rejects_a_full_turn(tmp_path):
+    out = tmp_path / "F"
+    with pytest.raises(SystemExit) as info:
+        main(["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7",
+              "--angles", "0,360", "--out", str(out)])
+    # a string exit code exits with status 1
+    assert info.value.code == ("relaysim boundary-oracle: angle must lie in "
+                               "[0, 90] degrees, got 360")
+    assert not out.exists()
 
 
 class TestExpectedServiceRates:

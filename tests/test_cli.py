@@ -353,6 +353,46 @@ def test_out_and_trace_naming_one_file_exit_status(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("config,output", [
+    ("x", "x"), ("x", "sub/../x"), ("symlink", "x"), ("hardlink", "x")])
+@pytest.mark.parametrize("command,flag,entry", [
+    ("run", "--out", "run_seeds"), ("run", "--trace", "run_seeds"),
+    ("sweep", "--out", "sweep_grid"),
+    ("boundary-oracle", "--out", "boundary_oracle")])
+def test_output_naming_the_config_file_rejected(tmp_path, monkeypatch,
+                                                command, flag, entry,
+                                                config, output):
+    monkeypatch.setattr(cli, entry, lambda *args, **kwargs: (
+        pytest.fail("simulated before rejecting the paths")))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "x").write_text("horizon = 300\nn_seeds = 1\n")
+    (tmp_path / "symlink").symlink_to(tmp_path / "x")
+    (tmp_path / "hardlink").hardlink_to(tmp_path / "x")
+    config, output = tmp_path / config, tmp_path / output
+    argv = [command, "--config", str(config), flag, str(output)]
+    if command == "boundary-oracle":
+        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+    assert exit_message(argv) == (f"relaysim {command}: --config and {flag} "
+                                  f"name the same file: {config}")
+    assert (tmp_path / "x").read_text() == "horizon = 300\nn_seeds = 1\n"
+
+
+def test_output_naming_the_config_file_exit_status(tmp_path):
+    src = Path(relaysim.__file__).resolve().parents[1]
+    (tmp_path / "c.txt").write_text("horizon = 300\nn_seeds = 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim.cli", "run", "--config", "c.txt",
+         "--trace", "c.txt"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "relaysim run: --config and --trace name the same file: c.txt"]
+    assert (tmp_path / "c.txt").read_text() == "horizon = 300\nn_seeds = 1\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.txt"]
+
+
 def traced_run_peak(tmp_path, horizon):
     """tracemalloc's peak, in bytes, over one `relaysim run --trace` call."""
     argv = ["run", "--horizon", str(horizon), "--seeds", "1",

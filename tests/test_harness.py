@@ -294,6 +294,30 @@ def test_sink_gets_the_records_run_once_keeps(scheduler, mode, rho, lam):
         assert getattr(results[0], name) == getattr(kept, name), name
 
 
+@pytest.mark.parametrize("rho,lam", [
+    ((0.4, 0.7), (0.45, 0.2)),
+    ((0.4, 0.7, 0.8, 0.7), (0.4, 0.05, 0.05, 0.05))])
+@pytest.mark.parametrize("scheduler", SCHEDULER_KINDS)
+def test_only_the_csma_schedulers_read_the_decision_mode(scheduler, rho, lam):
+    from relaysim.lanes import run_lanes
+
+    runs = []
+    for mode in DECISION_MODES:
+        cfg = make_config(lam=lam, rho=rho, horizon=1500, seed=11,
+                          scheduler=scheduler, decision_mode=mode, trace=True)
+        assert f"# decision_mode = {mode}" in header_lines(cfg)
+        (lane,) = run_lanes(replace(cfg, trace=False), [(lam, 11)])
+        runs.append((run_once(cfg, 11), lane))
+    (traced, lane), (traced_sampler, lane_sampler) = runs
+    same = ([r.to_json() for r in traced.records]
+            == [r.to_json() for r in traced_sampler.records])
+    assert same == (scheduler in ("mws", "ub"))
+    if same:
+        for name in RESULT_FIELDS:
+            assert getattr(traced, name) == getattr(traced_sampler, name)
+            assert getattr(lane, name) == getattr(lane_sampler, name)
+
+
 def test_run_seeds_uses_base_seed():
     cfg = make_config(lam=(0.2, 0.1), horizon=400, n_seeds=3, seed=50)
     results = run_seeds(cfg)
