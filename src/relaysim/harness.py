@@ -13,19 +13,20 @@ the scheduler's step is picked once per run, and the total backlog is the
 row's sum. sweep_grid runs all (grid point x seed) runs of a worker's
 batch as lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per
 call), which advance them in numpy lockstep and give each the RunResult
-run_once gives, so sweep rows do not depend on the worker count.
+run_once gives, so sweep rows do not depend on the worker count. A pooled
+sweep computes its rows' Student-t quantile before the pool starts, so the
+forked workers inherit it and never import scipy.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .analysis import ray_direction
 from .contention import elect_block, sample_option, sampler_options
@@ -284,11 +285,21 @@ def run_seeds(config: ExperimentConfig, *, sink=None):
                       for k in range(1, config.n_seeds)]
 
 
+@cache
+def _t_quantile(n):
+    """aggregate_ci's Student-t quantile for n values (n - 1 degrees of
+    freedom). scipy.special is imported here, on the first call, because it
+    takes most of relaysim's start-up and only intervals need it."""
+    from scipy.special import stdtrit
+    return float(stdtrit(n - 1, 0.5 + CI_LEVEL / 2.0))
+
+
 def aggregate_ci(values):
     """Student-t confidence interval on per-seed values: (mean, half-width).
 
     The level is fixed at CI_LEVEL, 90%. The quantile is scipy.special's
-    stdtrit, which scipy.stats.t.ppf calls, so no scipy.stats is imported.
+    stdtrit, which scipy.stats.t.ppf calls; scipy.special is imported on the
+    first call and the quantile is cached per seed count.
     """
     values = list(values)
     n = len(values)
@@ -296,8 +307,7 @@ def aggregate_ci(values):
         raise ValueError("need at least two values for an interval")
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1))
-    t = float(stdtrit(n - 1, 0.5 + CI_LEVEL / 2.0))
-    return mean, t * sd / math.sqrt(n)
+    return mean, _t_quantile(n) * sd / math.sqrt(n)
 
 
 def stable_fraction(results):
@@ -363,6 +373,9 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     n_batches = max(1, min(workers, len(points)))
     tasks = [(config, part) for part in _even_split(points, n_batches)]
     if n_batches > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        if config.n_seeds >= 2:
+            _t_quantile(config.n_seeds)  # cached before the workers fork
         with ProcessPoolExecutor(max_workers=n_batches) as pool:
             batches = list(pool.map(_sweep_batch, tasks))
     else:

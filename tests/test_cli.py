@@ -680,16 +680,45 @@ def test_unwritable_output_exit_status(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_loads_no_scipy_stats():
-    # scipy.stats would double the start-up of every command and pool worker
+START_UP_PROBE = """
+import json, sys
+from dataclasses import replace
+
+def late():
+    return sorted(m for m in sys.modules if m.startswith("scipy")
+                  or m == "concurrent.futures.process")
+
+import relaysim, relaysim.cli
+seen = {"import": late()}
+from relaysim import ExperimentConfig, NetworkParams, cli, harness
+cfg = ExperimentConfig(params=NetworkParams(n_relays=1, rho=(0.4, 0.7),
+                                            lam=(0.1, 0.1), seed=3),
+                       horizon=300, n_seeds=2)
+harness.run_seeds(cfg)
+seen["run_seeds"] = late()
+harness.boundary_oracle(0.4, 0.7, 45.0, replace(cfg, n_seeds=1), 2.0)
+seen["boundary_oracle"] = late()
+cli.main(["run", "--seeds", "1", "--horizon", "300", "--out", sys.argv[1]])
+seen["run --seeds 1"] = late()
+ci = harness.aggregate_ci([0.0, 2.0])
+print(json.dumps({"seen": seen, "ci": ci,
+                  "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_start_up_imports_no_scipy_or_process_pool(tmp_path):
+    # scipy.special is most of start-up; only an interval needs it
     src = Path(relaysim.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, relaysim, relaysim.cli; print(sorted(m for m in "
-         "sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"],
+        [sys.executable, "-c", START_UP_PROBE, str(tmp_path / "run.json")],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.stdout.strip() == "[]"
+    probe = json.loads(proc.stdout)
+    assert probe["seen"] == {"import": [], "run_seeds": [],
+                             "boundary_oracle": [], "run --seeds 1": []}
+    from scipy.special import stdtrit
+    assert probe["special"]
+    assert probe["ci"] == [1.0, float(stdtrit(1, 0.95))]
 
 
 @pytest.mark.parametrize("text", [",", ""])

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaysim
 from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
                       classify_stability, parse_config, run_once, run_seeds,
                       sweep_grid)
@@ -159,6 +164,40 @@ class TestSweep:
         serial = sweep_grid(cfg, grid, workers=1)
         parallel = sweep_grid(cfg, grid, workers=2)
         assert serial == parallel
+
+    def test_pooled_workers_inherit_the_quantile(self, tmp_path):
+        # A fresh process, so the quantile is not cached yet; each stdtrit
+        # call logs its process id, and the pooled sweep runs first.
+        probe = """
+import json, os, sys
+import scipy.special
+from relaysim import ExperimentConfig, NetworkParams, sweep_grid
+from relaysim.harness import box_grid
+stdtrit = scipy.special.stdtrit
+def logged(df, p):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return stdtrit(df, p)
+scipy.special.stdtrit = logged
+cfg = ExperimentConfig(params=NetworkParams(n_relays=1, rho=(0.4, 0.7),
+                                            lam=(0.0, 0.0), seed=5),
+                       horizon=400, n_seeds=3)
+grid = box_grid(3, 0.4, 0.4)
+pooled = sweep_grid(cfg, grid, workers=2)
+serial = sweep_grid(cfg, grid, workers=1)
+print(json.dumps({"pid": os.getpid(), "equal": pooled == serial,
+                  "ci_half": [row["ci_half"] for row in pooled]}))
+"""
+        log = tmp_path / "stdtrit.log"
+        src = Path(relaysim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(log)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        out = json.loads(proc.stdout)
+        assert out["equal"]
+        assert len(out["ci_half"]) == 9 and any(out["ci_half"])
+        assert log.read_text().split() == [str(out["pid"])]
 
     def test_zero_load_grid_all_stable(self):
         cfg = make_config(horizon=400, n_seeds=2)
