@@ -9,11 +9,11 @@ run_once is the reference engine, used by run_seeds, boundary_oracle and
 traced runs. Its per-slot state is one list of ints in QueueState's flat
 layout, [Q_0, Q_1..Q_N, Q_01..Q_0N] (a lane's row in the lane engine), which
 the scheduling rules and core.apply_slot index as they index a QueueState;
-the scheduler's step is picked once per run, and the total backlog is the
-row's sum. sweep_grid runs all (grid point x seed) runs of a worker's
-batch as lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per
-call), which advance them in numpy lockstep and give each the RunResult
-run_once gives, so sweep rows do not depend on the worker count. A pooled
+each slot calls its scheduler's step, and the total backlog is the row's
+sum. sweep_grid runs all (grid point x seed) runs of a worker's batch as
+lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per call),
+which advance them in numpy lockstep and give each the RunResult run_once
+gives, so sweep rows do not depend on the worker count. A pooled
 sweep computes its rows' Student-t quantile before the pool starts, so the
 forked workers inherit it and never import scipy.
 """
@@ -148,59 +148,6 @@ def _int_rows(block):
     return list(zip(*block.T.tolist()))
 
 
-def _slot_rule(config: ExperimentConfig, streams, memory):
-    """A run's scheduling rule, chosen once per run.
-
-    Returns (decide, step). decide(channel_block, channels) gives a block's
-    decision schedules: the backoff elections drawn as one block for rqcsma
-    and qcsma in contention mode. In sampler mode it gives a generator that
-    draws each slot's decision when the loop reaches the slot, before that
-    slot's activation coin, from a per-block table of the options of each
-    rule channel: the realized channel for rqcsma, params.all_on for qcsma.
-    step(row, channel, decision) applies the scheduler's per-slot rule to
-    the queue row and returns (decision, schedule); mws and ub decide by
-    their own rule, so their decision is the schedule.
-    """
-    params = config.params
-    scheduler = config.scheduler
-    backoffs, coins = streams.contention, streams.scheduler
-
-    aware = scheduler == "rqcsma"
-    if scheduler in ("mws", "ub"):
-        def decide(channel_block, channels):
-            return repeat(IDLE, len(channels))
-    elif config.decision_mode == "contention":
-        def decide(channel_block, channels):
-            return elect_block(params, backoffs, len(channels),
-                               channel_block if aware else None)
-    else:
-        def decide(channel_block, channels):
-            rules = channels if aware else [params.all_on] * len(channels)
-            table = {c: sampler_options(c) for c in set(rules)}
-            return (sample_option(table[c], coins) for c in rules)
-
-    if scheduler == "mws":
-        def step(row, channel, decision):
-            x = mws_step(row, channel, params)
-            return x, x
-    elif scheduler == "ub":
-        def step(row, channel, decision):
-            x = ub_step(row, channel, params, backoffs)
-            return x, x
-    elif scheduler == "rqcsma":
-        def step(row, channel, decision):
-            return decision, rqcsma_step(row, channel, memory, decision,
-                                         params, coins)
-    else:
-        held = IDLE
-
-        def step(row, channel, decision):
-            nonlocal held
-            held = qcsma_step(row, channel, held, decision, params, coins)
-            return decision, held
-    return decide, step
-
-
 def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     """Execute one seeded run of `horizon` slots.
 
@@ -215,19 +162,29 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     number of uniforms per slot (see rng), which makes a block draw equal to
     the same slots drawn one by one.
 
+    A block's decision schedules are Idle for mws and ub, which decide by
+    their own rule, and the backoff elections drawn as one block for rqcsma
+    and qcsma in contention mode. In sampler mode each slot's decision is
+    drawn when the loop reaches the slot, before that slot's activation
+    coin, from a per-block table of the options of each rule channel: the
+    realized channel for rqcsma, params.all_on for qcsma. Each slot then
+    calls its scheduler's step.
+
     The queues are one list of ints, [Q_0, Q_1..Q_N, Q_01..Q_0N], which the
     scheduling step and apply_slot index as they index a QueueState. The
-    scheduler's rule is chosen once per run (_slot_rule), and the total
-    backlog is the row's sum after each slot. A QueueState is built only
-    for slot records.
+    total backlog is the row's sum after each slot. A QueueState is built
+    only for slot records.
     """
     params = config.params
     horizon = config.horizon
     trace = config.trace
+    scheduler = config.scheduler
+    aware = scheduler == "rqcsma"
 
     streams = RunStreams(seed)
+    backoffs, coins = streams.contention, streams.scheduler
     memory = {}  # rqcsma: channel realization -> schedule of its last slot
-    decide, step = _slot_rule(config, streams, memory)
+    held = IDLE  # qcsma: the schedule of the previous slot
     seen_channels = set()
 
     slots = sample_slots(horizon)
@@ -247,11 +204,28 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
         arrivals_block = _int_rows(sample_arrival_matrix(
             params, streams.arrivals, n_slots))
         seen_channels.update(channels)
+        if scheduler in ("mws", "ub"):
+            decisions = repeat(IDLE)
+        elif config.decision_mode == "contention":
+            decisions = elect_block(params, backoffs, n_slots,
+                                    channel_block if aware else None)
+        else:
+            rules = channels if aware else [params.all_on] * n_slots
+            table = {c: sampler_options(c) for c in set(rules)}
+            decisions = (sample_option(table[c], coins) for c in rules)
 
         for t, channel, arrivals, decision in zip(
                 range(start, start + n_slots), channels, arrivals_block,
-                decide(channel_block, channels)):
-            decision, x = step(row, channel, decision)
+                decisions):
+            if scheduler == "mws":
+                x = decision = mws_step(row, channel, params)
+            elif aware:
+                x = rqcsma_step(row, channel, memory, decision, params, coins)
+            elif scheduler == "qcsma":
+                x = held = qcsma_step(row, channel, held, decision, params,
+                                      coins)
+            else:
+                x = decision = ub_step(row, channel, params, backoffs)
             # Data plane: a blind scheduler holding an OFF relay wastes the
             # slot.
             x_data = x
@@ -462,11 +436,14 @@ def boundary_oracle(rho0, rho1, angle_deg, config: ExperimentConfig,
 # Flat key=value config files and output headers.
 
 def parse_floats(text):
-    """A comma- or space-separated list of at least one float."""
-    values = tuple(float(v) for v in text.replace(",", " ").split())
-    if not values:
+    """A comma- or space-separated list of at least one float. No entry may
+    be empty: a leading, trailing or doubled comma is rejected."""
+    entries = [entry.split() for entry in text.split(",")]
+    if not any(entries):
         raise ValueError(f"expected a list of numbers, got {text!r}")
-    return values
+    if not all(entries):
+        raise ValueError(f"empty entry in the list {text!r}")
+    return tuple(float(v) for entry in entries for v in entry)
 
 
 # Config key -> (NetworkParams or ExperimentConfig field, value parser), in

@@ -134,9 +134,6 @@ def sample_arrivals(params: NetworkParams, rng: RngStream) -> tuple:
     m = params.a_max
     row = rng.uniform_row(params.n_nodes * m)
     probs = [a / m for a in params.lam]
-    if m == 1:
-        return tuple(1 if row[i] < probs[i] else 0
-                     for i in range(params.n_nodes))
     return tuple(sum(1 for j in range(m) if row[i * m + j] < probs[i])
                  for i in range(params.n_nodes))
 

@@ -732,6 +732,34 @@ def test_empty_rate_or_angle_list_rejected(tmp_path, argv, text):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("text", ["0.4,,0.7,0.8", ",0.4,0.7,0.8",
+                                  "0.4,0.7,0.8,"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--horizon", "200", "--seeds", "1", "--rho"],
+    ["run", "--horizon", "200", "--seeds", "1", "--lambda"],
+    ["sweep", "--horizon", "100", "--seeds", "1", "--rho", "0.4,0.7",
+     "--gamma"],
+    ["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles"]])
+def test_empty_list_entry_rejected(tmp_path, argv, text):
+    # an empty entry used to vanish: --rho 0.4,,0.7,0.8 ran two relays
+    out = tmp_path / "out"
+    message = exit_message(argv + [text, "--out", str(out)])
+    assert message.startswith(f"relaysim {argv[0]}: ")
+    assert message.endswith(f"empty entry in the list {text!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["rho", "lambda"])
+def test_empty_list_entry_in_config_file_rejected(tmp_path, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = 0.4,,0.7,0.8\n")
+    out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+    assert exit_message(["run", "-c", str(cfg), "--out", str(out),
+                         "--trace", str(trace)]) == (
+        f"relaysim run: {key}: empty entry in the list '0.4,,0.7,0.8'")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_key_given_twice_rejected(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("seed = 1\nseed = 2\n")

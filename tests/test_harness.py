@@ -15,8 +15,8 @@ from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
                       sweep_grid)
 from relaysim.harness import (DECISION_MODES, MAX_TRAJECTORY_POINTS,
                               boundary_oracle, box_grid, config_to_dict,
-                              gamma_grid, header_lines, sample_slots,
-                              stable_fraction)
+                              gamma_grid, header_lines, parse_floats,
+                              sample_slots, stable_fraction)
 from relaysim.scheduling import SCHEDULER_KINDS
 
 
@@ -277,6 +277,18 @@ class TestConfigFile:
     def test_lambda_of_other_length_than_rho_rejected(self):
         with pytest.raises(ValueError, match=r"length N\+1 = 3, got 3 and 2"):
             parse_config("lambda = 0.1, 0.1\n", {"rho": "0.4,0.7,0.8"})
+
+    @pytest.mark.parametrize("text", ["0.4,0.7", "0.4, 0.7", "0.4 0.7",
+                                      " 0.4 ,0.7 "])
+    def test_list_separators(self, text):
+        assert parse_floats(text) == (0.4, 0.7)
+
+    @pytest.mark.parametrize("text", ["0.4,,0.7", ",0.4,0.7", "0.4,0.7,",
+                                      "0.4, ,0.7"])
+    def test_empty_list_entry_rejected(self, text):
+        with pytest.raises(ValueError,
+                           match=f"^empty entry in the list '{text}'$"):
+            parse_floats(text)
 
     def test_bad_value_names_its_key(self):
         with pytest.raises(ValueError, match="^horizon: "):
