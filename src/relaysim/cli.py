@@ -36,8 +36,10 @@ def _load_config(args) -> ExperimentConfig:
     """The experiment config from --config, with the flags' keys replaced."""
     flags = {key: getattr(args, key) for key, _ in _CONFIG_FLAGS.values()
              if getattr(args, key, None) is not None}
-    return parse_config(Path(args.config).read_text() if args.config
-                        else "", flags)
+    if args.config is None:
+        return parse_config("", flags)
+    with open(args.config) as fh:
+        return parse_config(fh.read(), flags)
 
 
 def _add_common(parser, network=True):

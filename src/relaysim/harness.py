@@ -10,12 +10,13 @@ traced runs. Its per-slot state is one list of ints in QueueState's flat
 layout, [Q_0, Q_1..Q_N, Q_01..Q_0N] (a lane's row in the lane engine), which
 the scheduling rules and core.apply_slot index as they index a QueueState;
 each slot calls its scheduler's step, and the total backlog is the row's
-sum. sweep_grid runs all (grid point x seed) runs of a worker's batch as
-lanes of lanes.run_lanes calls (at most MAX_BATCH_LANES lanes per call),
-which advance them in numpy lockstep and give each the RunResult run_once
-gives, so sweep rows do not depend on the worker count. A pooled
-sweep computes its rows' Student-t quantile before the pool starts, so the
-forked workers inherit it and never import scipy.
+sum. sweep_grid cuts all (grid point x seed) runs once into contiguous
+parts of at most MAX_BATCH_LANES lanes, and at least one per worker. Each
+part is one lanes.run_lanes call, which advances its lanes in numpy
+lockstep and gives each the RunResult run_once gives. A part returns only
+each run's mean backlog, final backlog and verdict, and the calling process
+builds every row, so sweep rows do not depend on the worker count and no
+pool worker computes an interval or imports scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import chain, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +46,7 @@ MIN_CLASSIFIED_SAMPLES = 100
 # Slots per block of pre-drawn channels, arrivals and elections; bounds a
 # run's draw buffers at any horizon.
 BLOCK_SLOTS = 1024
-# Most lanes per run_lanes call of a sweep batch; bounds a batch's arrays
+# Most lanes per run_lanes call of a sweep; bounds a call's arrays
 # (about 0.1 MB per lane at horizon 1e4) at some cost in throughput: the
 # cost per lane-slot still falls as lanes are added up to the cap (ROADMAP,
 # Baseline, lane engine).
@@ -154,7 +155,8 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     With config.trace the run makes one SlotRecord per slot and passes it
     to `sink` as the loop makes it. The default sink appends it to the
     result's `records`; with any other sink the run holds no record and
-    `records` stays empty.
+    `records` stays empty. An untraced run makes no record, so a sink
+    without config.trace raises ValueError.
 
     Channels, arrivals and the CSMA backoff elections do not depend on the
     queues, so they are drawn BLOCK_SLOTS slots at a time; the per-slot loop
@@ -178,6 +180,9 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     params = config.params
     horizon = config.horizon
     trace = config.trace
+    if sink is not None and not trace:
+        raise ValueError("a sink needs config.trace: an untraced run makes "
+                         "no slot records")
     scheduler = config.scheduler
     aware = scheduler == "rqcsma"
 
@@ -251,7 +256,8 @@ def run_seeds(config: ExperimentConfig, *, sink=None):
     With config.trace only the first run makes slot records (a trace is one
     sample path; every seed's would cost seeds x horizon records), and they
     go to `sink` as run_once makes them; without a sink they are kept in
-    the first result's `records`.
+    the first result's `records`. As in run_once, a sink without
+    config.trace raises ValueError.
     """
     untraced = replace(config, trace=False)
     first = run_once(config, config.params.seed, sink=sink)
@@ -310,54 +316,62 @@ def _even_split(items, n_parts):
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _sweep_batch(args):
-    """Rows of a batch of (index, lam) points. All seeds of all points run
-    as lanes of run_lanes calls of at most MAX_BATCH_LANES lanes each."""
+class _LaneOutcome(NamedTuple):
+    """What a sweep row reads of one lane's RunResult."""
+    q_avg: float
+    final_total: int
+    stable: Optional[bool]
+
+
+def _run_part(config, lanes):
+    """The _LaneOutcomes of one run_lanes call over (lam, seed) `lanes`, in
+    lane order."""
     from .lanes import run_lanes  # lanes builds on this module
 
-    config, points = args
-    seeds = [config.params.seed + k for k in range(config.n_seeds)]
-    lanes = [(lam, s) for _, lam in points for s in seeds]
-    n_calls = max(1, -(-len(lanes) // MAX_BATCH_LANES))
-    results = chain.from_iterable(run_lanes(config, part)
-                                  for part in _even_split(lanes, n_calls))
-    return [_sweep_row(index, lam, [next(results) for _ in seeds])
-            for index, lam in points]
+    return [_LaneOutcome(r.q_avg, r.final_total, r.stable)
+            for r in run_lanes(config, lanes)]
 
 
 def sweep_grid(config: ExperimentConfig, grid, workers=1):
     """Independent seeded runs per grid point (a list of full rate vectors).
 
-    The valid points are split into `workers` contiguous batches, and each
-    batch runs its points' seeds as lanes of run_lanes calls, so each
-    run equals run_once and rows come back in grid order, identical for
-    every worker count. A point that fails validation is reported with an
-    "error" field instead of aborting the sweep.
+    Every (point, seed) run of the valid points is one lane, listed in grid
+    and seed order. The lanes are cut once into contiguous parts, at least
+    `workers` and at most MAX_BATCH_LANES lanes each but never more parts
+    than lanes, and each part is one run_lanes call, in a pool of up to
+    `workers` processes when there are two or more. The parts return only what a row
+    reads of each run, and the rows are built here in grid order, so each
+    run equals run_once and the rows are identical for every worker count.
+    A point that fails validation is reported with an "error" field instead
+    of aborting the sweep.
     """
-    points = []
-    rows = [None] * len(grid)
+    seeds = [config.params.seed + k for k in range(config.n_seeds)]
+    errors = {}
+    lanes = []
     for idx, lam in enumerate(grid):
         try:
             replace(config.params, lam=tuple(lam))
         except ValueError as exc:
-            rows[idx] = {"index": idx, "lam": tuple(lam), "error": str(exc)}
+            errors[idx] = str(exc)
             continue
-        points.append((idx, tuple(lam)))
+        lanes += [(tuple(lam), seed) for seed in seeds]
 
-    n_batches = max(1, min(workers, len(points)))
-    tasks = [(config, part) for part in _even_split(points, n_batches)]
-    if n_batches > 1:
+    # one empty part when no point is valid
+    n_parts = max(1, min(len(lanes),
+                         max(workers, -(-len(lanes) // MAX_BATCH_LANES))))
+    parts = _even_split(lanes, n_parts)
+    n_procs = min(workers, n_parts)
+    if n_procs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        if config.n_seeds >= 2:
-            _t_quantile(config.n_seeds)  # cached before the workers fork
-        with ProcessPoolExecutor(max_workers=n_batches) as pool:
-            batches = list(pool.map(_sweep_batch, tasks))
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
+            parts = list(pool.map(_run_part, repeat(config), parts))
     else:
-        batches = map(_sweep_batch, tasks)
-    for batch in batches:
-        for row in batch:
-            rows[row["index"]] = row
-    return rows
+        parts = map(_run_part, repeat(config), parts)
+    outcomes = chain.from_iterable(parts)
+    return [{"index": idx, "lam": tuple(lam), "error": errors[idx]}
+            if idx in errors else
+            _sweep_row(idx, lam, [next(outcomes) for _ in seeds])
+            for idx, lam in enumerate(grid)]
 
 
 def box_grid(n_per_axis, l0_max, l1_max):

@@ -377,6 +377,22 @@ def test_output_naming_the_config_file_rejected(tmp_path, monkeypatch,
     assert (tmp_path / "x").read_text() == "horizon = 300\nn_seeds = 1\n"
 
 
+@pytest.mark.parametrize("command,entry", [
+    ("run", "run_seeds"), ("sweep", "sweep_grid"),
+    ("boundary-oracle", "boundary_oracle")])
+def test_empty_config_path_rejected(tmp_path, monkeypatch, command, entry):
+    # an empty path used to count as no --config and ran the defaults
+    monkeypatch.setattr(cli, entry, lambda *args, **kwargs: (
+        pytest.fail("simulated with an empty --config")))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", "", "--out", "out"]
+    if command == "boundary-oracle":
+        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+    assert exit_message(argv) == (f"relaysim {command}: [Errno 2] No such "
+                                  f"file or directory: ''")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_naming_the_config_file_exit_status(tmp_path):
     src = Path(relaysim.__file__).resolve().parents[1]
     (tmp_path / "c.txt").write_text("horizon = 300\nn_seeds = 1\n")

@@ -27,6 +27,15 @@ def make_config(lam=(0.0, 0.0), rho=(0.4, 0.7), **kw):
     return ExperimentConfig(params=params, **kw)
 
 
+def run_probe(*args):
+    """Run a fresh interpreter with `args`, importing relaysim from this
+    source tree."""
+    src = Path(relaysim.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 class TestClassifyStability:
     def test_constant_trajectory(self):
         slots = tuple(range(1000))
@@ -199,6 +208,52 @@ print(json.dumps({"pid": os.getpid(), "equal": pooled == serial,
         assert len(out["ci_half"]) == 9 and any(out["ci_half"])
         assert log.read_text().split() == [str(out["pid"])]
 
+    def test_pooled_workers_build_no_row(self, tmp_path):
+        # Under fork the workers inherit the logging wrapper, so a worker
+        # that built a row would log its own process id.
+        probe = """
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+from relaysim import ExperimentConfig, NetworkParams, harness
+from relaysim.harness import box_grid, sweep_grid
+aggregate_ci = harness.aggregate_ci
+def logged(values):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return aggregate_ci(values)
+harness.aggregate_ci = logged
+cfg = ExperimentConfig(params=NetworkParams(n_relays=1, rho=(0.4, 0.7),
+                                            lam=(0.0, 0.0), seed=5),
+                       horizon=400, n_seeds=3)
+sweep_grid(cfg, box_grid(3, 0.4, 0.4), workers=2)
+print(os.getpid())
+"""
+        log = tmp_path / "aggregate_ci.log"
+        proc = run_probe("-c", probe, log)
+        assert log.read_text().split() == [proc.stdout.strip()] * 9
+
+    def test_spawned_pool_rows_equal_serial_rows(self, tmp_path):
+        # spawn starts fresh interpreters that inherit nothing of the
+        # parent, as on macOS and Windows.
+        probe = """
+import json, multiprocessing
+from relaysim import ExperimentConfig, NetworkParams
+from relaysim.harness import box_grid, sweep_grid
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    cfg = ExperimentConfig(params=NetworkParams(n_relays=1, rho=(0.4, 0.7),
+                                                lam=(0.0, 0.0), seed=5),
+                           horizon=400, n_seeds=3)
+    grid = box_grid(3, 0.4, 0.4) + [(1.5, 0.0)]
+    pooled = sweep_grid(cfg, grid, workers=2)
+    print(json.dumps({"equal": pooled == sweep_grid(cfg, grid),
+                      "errors": ["error" in row for row in pooled]}))
+"""
+        script = tmp_path / "spawned.py"
+        script.write_text(probe)
+        out = json.loads(run_probe(script).stdout)
+        assert out == {"equal": True, "errors": [False] * 9 + [True]}
+
     def test_zero_load_grid_all_stable(self):
         cfg = make_config(horizon=400, n_seeds=2)
         rows = sweep_grid(cfg, [(0.0, 0.0), (0.0, 0.0)])
@@ -318,6 +373,17 @@ class TestConfigFile:
 
 RESULT_FIELDS = ("seed", "q_avg", "slots", "totals", "final_total", "stable",
                  "slope", "memory_entries", "distinct_channels")
+
+
+def test_sink_without_trace_rejected():
+    # an untraced run makes no record, so the sink would never be called
+    cfg = make_config(lam=(0.3, 0.2), horizon=50, n_seeds=2)
+    records = []
+    with pytest.raises(ValueError, match="a sink needs config.trace"):
+        run_once(cfg, 0, sink=records.append)
+    with pytest.raises(ValueError, match="a sink needs config.trace"):
+        run_seeds(cfg, sink=records.append)
+    assert records == []
 
 
 @pytest.mark.parametrize("rho,lam", [
