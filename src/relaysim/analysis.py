@@ -7,9 +7,11 @@ active node only ever exits back to Idle, and everything else self-loops.
 Its stationary law has the product form pi(y) proportional to p_y/(1-p_y)
 regardless of the election distribution, which build_dtmc/solve_stationary
 verify numerically against product_form. The joint schedule-channel chain
-built without per-realization memory is the counterexample: its Kolmogorov
-cycle products differ whenever the source's activation probability depends
-on its channel state.
+built without per-realization memory is the counterexample. Each slot it
+draws node 0's new channel state and takes one step of the per-realization
+chain (build_dtmc), with node 0's activation probability following the new
+state; its Kolmogorov cycle products differ whenever that probability
+depends on the channel state.
 """
 
 from __future__ import annotations
@@ -138,8 +140,13 @@ def dtmc_check(trials, seed) -> dict:
     distribution with full support from numpy's default_rng(seed), solve the
     chain and compare with product_form. The report gives the number of
     chains, the worst stationary gap and detailed-balance residual, and
-    whether they lie below 1e-8 and 1e-10.
+    whether they lie below 1e-8 and 1e-10. trials must be >= 1 and seed
+    non-negative.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     worst_balance = 0.0
@@ -187,36 +194,26 @@ def build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha) -> TransitionMatri
     """The schedule-channel chain for two nodes with only node 0 time varying.
 
     States are (x, s0) with x in {Idle, 0, 1}. Carrier sense keys on the
-    previous transmission only; node 0's activation probability follows the
-    current channel state (p0_on / p0_off) because its weight argument jumps
-    with it, node 1's stays p1. This is the chain that is NOT reversible:
+    previous transmission only, so each slot draws the new channel state s0'
+    (ON with probability rho0) and takes one step of the per-realization
+    chain, build_dtmc under the all-ON channel, in which node 0's activation
+    probability follows s0' (p0_on / p0_off) because its weight argument
+    jumps with it; node 1's stays p1. build_dtmc's preconditions apply:
+    every activation probability must lie strictly inside (0, 1), and both
+    a0 and a1 must be positive. This is the chain that is NOT reversible:
     the Kolmogorov products around JOINT_CYCLE differ unless p0_on == p0_off.
     """
     a0, a1 = alpha
     if a0 < 0 or a1 < 0 or a0 + a1 > 1 + 1e-12:
         raise ValueError("election probabilities must satisfy a0+a1 <= 1")
-
-    def kernel(s_new):
-        p0 = p0_on if s_new else p0_off
-        k = np.zeros((3, 3))  # order: Idle, 0, 1
-        k[0, 1] = a0 * p0
-        k[0, 2] = a1 * p1
-        k[0, 0] = 1.0 - k[0, 1] - k[0, 2]
-        k[1, 0] = a0 * (1.0 - p0)
-        k[1, 1] = 1.0 - k[1, 0]
-        k[2, 0] = a1 * (1.0 - p1)
-        k[2, 2] = 1.0 - k[2, 0]
-        return k
-
-    xs = (IDLE, 0, 1)
-    states = tuple((x, s) for x in xs for s in (0, 1))
-    mat = np.zeros((6, 6))
-    kern = {0: kernel(0), 1: kernel(1)}
-    pr = {0: 1.0 - rho0, 1: rho0}
-    for i, (x, _s) in enumerate(states):
-        for j, (x_new, s_new) in enumerate(states):
-            mat[i, j] = pr[s_new] * kern[s_new][xs.index(x), xs.index(x_new)]
-    return TransitionMatrix(states, mat)
+    election = {IDLE: 1.0 - a0 - a1, 0: a0, 1: a1}
+    # step[x, x', s0'] = P(s0') * K_{s0'}(x, x'), over x, x' in (Idle, 0, 1)
+    step = np.stack([pr * build_dtmc((1, 1), {0: p0, 1: p1}, election).probs
+                     for pr, p0 in ((1.0 - rho0, p0_off), (rho0, p0_on))],
+                    axis=-1)
+    states = tuple((x, s) for x in (IDLE, 0, 1) for s in (0, 1))
+    # a row reads x only, so (x, 0) and (x, 1) share it
+    return TransitionMatrix(states, np.repeat(step.reshape(3, 6), 2, axis=0))
 
 
 def kolmogorov_mismatch(tm: TransitionMatrix) -> float:
@@ -270,8 +267,8 @@ class RateRegion2:
                 (2.0, 1.0, 1.0 + r0))
 
     def contains(self, lambda0, lambda1) -> bool:
-        if lambda0 < 0 or lambda1 < 0:
-            raise ValueError("rates must be non-negative")
+        if not (lambda0 >= 0 and lambda1 >= 0):  # NaN fails both
+            raise ValueError("rates must be non-negative numbers")
         return all(a0 * lambda0 + a1 * lambda1 < b for a0, a1, b in self.faces)
 
     def boundary(self, angle_deg):

@@ -10,14 +10,20 @@ merged rules to, decision for decision and uniform for uniform.
 RateRegion2 is the one-relay rate region as written before it became one
 polytope: two cases split at rho1 = 1/2 and a bisection for the boundary.
 tests/test_rule_equivalence.py holds analysis.RateRegion2 to it.
+
+build_joint_channel_chain is the schedule-channel chain with its carrier-sense
+kernel written out entry by entry, as it was before analysis built it from
+build_dtmc. tests/test_rule_equivalence.py holds the new chain to it.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from relaysim import IDLE
 from relaysim.core import feasible_schedules
-from relaysim.analysis import ray_direction
+from relaysim.analysis import TransitionMatrix, ray_direction
 from relaysim.scheduling import action_backlog, activation_probability
 
 
@@ -199,3 +205,39 @@ class RateRegion2:
                 hi = mid
         scale = 0.5 * (lo + hi)
         return scale * ux, scale * uy
+
+
+def build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha) -> TransitionMatrix:
+    """The schedule-channel chain for two nodes with only node 0 time varying.
+
+    States are (x, s0) with x in {Idle, 0, 1}. Carrier sense keys on the
+    previous transmission only; node 0's activation probability follows the
+    current channel state (p0_on / p0_off) because its weight argument jumps
+    with it, node 1's stays p1. This is the chain that is NOT reversible:
+    the Kolmogorov products around JOINT_CYCLE differ unless p0_on == p0_off.
+    """
+    a0, a1 = alpha
+    if a0 < 0 or a1 < 0 or a0 + a1 > 1 + 1e-12:
+        raise ValueError("election probabilities must satisfy a0+a1 <= 1")
+
+    def kernel(s_new):
+        p0 = p0_on if s_new else p0_off
+        k = np.zeros((3, 3))  # order: Idle, 0, 1
+        k[0, 1] = a0 * p0
+        k[0, 2] = a1 * p1
+        k[0, 0] = 1.0 - k[0, 1] - k[0, 2]
+        k[1, 0] = a0 * (1.0 - p0)
+        k[1, 1] = 1.0 - k[1, 0]
+        k[2, 0] = a1 * (1.0 - p1)
+        k[2, 2] = 1.0 - k[2, 0]
+        return k
+
+    xs = (IDLE, 0, 1)
+    states = tuple((x, s) for x in xs for s in (0, 1))
+    mat = np.zeros((6, 6))
+    kern = {0: kernel(0), 1: kernel(1)}
+    pr = {0: 1.0 - rho0, 1: rho0}
+    for i, (x, _s) in enumerate(states):
+        for j, (x_new, s_new) in enumerate(states):
+            mat[i, j] = pr[s_new] * kern[s_new][xs.index(x), xs.index(x_new)]
+    return TransitionMatrix(states, mat)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim import (IDLE, RateRegion2, build_dtmc,
+from relaysim import (IDLE, NetworkParams, RateRegion2, build_dtmc,
                       build_joint_channel_chain, check_detailed_balance,
                       expected_service_rates, kolmogorov_mismatch,
                       product_form, solve_stationary)
 from relaysim.analysis import (StationaryDistribution, TransitionMatrix,
-                               chain_states, ray_direction)
+                               chain_states, dtmc_check, ray_direction)
 from relaysim.cli import main
+from relaysim.scheduling import (action_backlog, activation_probability,
+                                 rqcsma_step)
 
 
 def random_alpha(rng, nodes):
@@ -136,6 +139,80 @@ class TestDetailedBalance:
         assert check_detailed_balance(tm, pi) == 0.0
 
 
+# The largest uniform below 1: it loses every activation coin p < 1, as 0.0
+# wins every coin p > 0.
+LOSS = math.nextafter(1.0, 0.0)
+
+
+class FixedUniform:
+    """A stream whose every uniform() is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def positive_backlog_queues(rng, n_relays):
+    """A flat queue row [Q_0, Q_1..Q_N, Q_01..Q_0N] in which every node has a
+    positive action backlog under every channel: Q_0 >= 1 exceeds the
+    smallest relayed backlog, and every relay holds an own packet."""
+    relayed = rng.integers(0, 5, n_relays)
+    q0 = relayed.min() + rng.integers(1, 8)
+    own = rng.integers(1, 8, n_relays)
+    return [int(q0)] + own.tolist() + relayed.tolist()
+
+
+class TestChainIsTheSchedulerRule:
+    def test_build_dtmc_is_one_rqcsma_step(self):
+        # Every start state, every decision d and both coin outcomes give
+        # rqcsma_step's one-slot law under a fixed channel, weighted by
+        # alpha(d) * p_d and alpha(d) * (1 - p_d). The queues give every
+        # feasible node a positive action backlog: a zero-backlog node never
+        # activates (p = 0), a case the chain's p in (0, 1) excludes.
+        rng = np.random.default_rng(5)
+        for n_relays in (1, 2):
+            n = n_relays + 1
+            params = NetworkParams(n_relays=n_relays, rho=(0.5,) * n,
+                                   lam=(0.0,) * n)
+            for channel in itertools.product((0, 1), repeat=n):
+                states = chain_states(channel)
+                for _ in range(20):
+                    queues = positive_backlog_queues(rng, n_relays)
+                    probs = {y: activation_probability(
+                        params.activation_gain
+                        * action_backlog(queues, channel, y))
+                        for y in states[1:]}
+                    alpha = random_alpha(rng, states[1:])
+                    law = np.zeros((len(states), len(states)))
+                    for i, x in enumerate(states):
+                        for d in states:
+                            p = probs.get(d, 0.5)  # Idle draws no coin
+                            for u, weight in ((0.0, p), (LOSS, 1.0 - p)):
+                                x_new = rqcsma_step(
+                                    queues, channel, {channel: x}, d, params,
+                                    FixedUniform(u))
+                                law[i, states.index(x_new)] += alpha[d] * weight
+                    tm = build_dtmc(channel, probs, alpha)
+                    assert np.abs(law - tm.probs).max() <= 1e-15, (
+                        channel, queues)
+
+
+class TestDtmcCheck:
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_rejected(self, trials):
+        # a report of zero chains checked would read as a pass
+        with pytest.raises(ValueError) as info:
+            dtmc_check(trials, 0)
+        assert str(info.value) == f"trials must be >= 1, got {trials}"
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError) as info:
+            dtmc_check(1, -1)
+        assert str(info.value) == "seed must be non-negative, got -1"
+
+
 class TestJointChainCounterexample:
     def test_channel_dependent_activation_breaks_reversibility(self):
         tm = build_joint_channel_chain(0.4, p0_on=0.9, p0_off=0.3, p1=0.6,
@@ -177,6 +254,16 @@ class TestRateRegion:
     def test_negative_rate_rejected(self, rates):
         with pytest.raises(ValueError, match="rates must be non-negative"):
             RateRegion2(0.4, 0.7).contains(*rates)
+
+    @pytest.mark.parametrize("rates", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_nan_rate_rejected(self, rates):
+        with pytest.raises(ValueError,
+                           match="rates must be non-negative numbers"):
+            RateRegion2(0.4, 0.7).contains(*rates)
+
+    @pytest.mark.parametrize("rates", [(math.inf, 0.1), (0.1, math.inf)])
+    def test_infinite_rate_is_outside(self, rates):
+        assert not RateRegion2(0.4, 0.7).contains(*rates)
 
     def test_low_relay_probability_case(self):
         region = RateRegion2(0.5, 0.4)

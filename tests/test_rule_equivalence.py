@@ -5,18 +5,22 @@ and every backoff election runs through contention.elect. Each must equal
 the old code in tests/legacy_rules.py decision for decision and leave its
 stream at the same position; mws must pick what the old log(1 + beta*x)
 weight argmax picked. The one-relay rate region must agree with its old
-two-case form off its faces, and its boundary with the old bisection.
+two-case form off its faces, and its boundary with the old bisection. The
+joint schedule-channel chain built from build_dtmc must equal the one whose
+kernel was written out entry by entry.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_rules as legacy
-from relaysim import IDLE, NetworkParams, QueueState, RateRegion2
+from relaysim import (IDLE, NetworkParams, QueueState, RateRegion2,
+                      build_joint_channel_chain)
 from relaysim.contention import (blind_decision, elect_block, run_contention,
                                  sampled_decision)
 from relaysim.rng import RngStream, sample_channels
@@ -216,3 +220,47 @@ def test_region_without_relay_channel_is_empty_on_the_lambda0_axis():
         region = RateRegion2(rho0, 0.0)
         assert region.boundary(0.0) == (0.0, 0.0)
         assert not any(region.contains(x, 0.0) for x in REGION_RATES)
+
+
+# ---------------------------------------------------------------------------
+# The joint schedule-channel chain: build_dtmc's kernel against the old
+# hand-set one.
+
+def joint_chain_inputs(n_random=1000, seed=0):
+    """(rho0, p0_on, p0_off, p1, (a0, a1)): the edges rho0 in {0, 1} and
+    a0 + a1 = 1, then n_random draws with rho0 in [0, 1], activation
+    probabilities in (0.01, 0.99), a0, a1 > 0 and a0 + a1 <= 1."""
+    yield from [(0.0, 0.9, 0.3, 0.6, (0.4, 0.4)),
+                (1.0, 0.9, 0.3, 0.6, (0.4, 0.4)),
+                (0.4, 0.9, 0.3, 0.6, (0.25, 0.75)),
+                (0.4, 0.9, 0.3, 0.6, (1e-9, 1e-9))]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        rho0 = float(rng.uniform(0.0, 1.0))
+        probs = rng.uniform(0.01, 0.99, 3).tolist()
+        a0, a1 = rng.uniform(0.0, 1.0, 2).tolist()
+        if a0 + a1 > 1.0:  # fold into the triangle a0 + a1 <= 1
+            a0, a1 = 1.0 - a0, 1.0 - a1
+        yield (rho0, *probs, (a0, a1))
+
+
+def test_joint_chain_equals_hand_set_kernel():
+    for rho0, p0_on, p0_off, p1, alpha in joint_chain_inputs():
+        new = build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha)
+        old = legacy.build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha)
+        assert new.states == old.states
+        assert np.abs(new.probs - old.probs).max() <= 1e-15, (
+            rho0, p0_on, p0_off, p1, alpha)
+
+
+@pytest.mark.parametrize("p0_on,alpha,message", [
+    (1.0, (0.4, 0.4), r"degenerate activation probability p\[0\]=1.0"),
+    (0.9, (0.0, 0.4), "alpha must put positive mass on schedule 0")])
+def test_joint_chain_takes_build_dtmc_preconditions(p0_on, alpha, message):
+    # the hand-set kernel returned a chain for both; build_dtmc rejects them,
+    # while a bad alpha still fails the chain's own "a0+a1 <= 1" check
+    # (TestJointChainCounterexample in tests/test_analysis.py)
+    legacy.build_joint_channel_chain(0.4, p0_on, 0.3, 0.6, alpha)
+    with pytest.raises(ValueError, match=message):
+        build_joint_channel_chain(0.4, p0_on, 0.3, 0.6, alpha)
+
