@@ -38,6 +38,8 @@ class TransitionMatrix:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.states), len(self.states)):
             raise ValueError("matrix shape does not match state count")
+        if not np.isfinite(p).all():
+            raise ValueError("transition probabilities must be finite")
         if (p < 0).any():
             raise ValueError("negative transition probability")
         if np.abs(p.sum(axis=1) - 1.0).max() > _ROW_TOL:
@@ -55,6 +57,8 @@ class StationaryDistribution:
 
     def __post_init__(self):
         v = np.asarray(self.pi, dtype=float)
+        if not np.isfinite(v).all():
+            raise ValueError("stationary probabilities must be finite")
         if (v < -_ROW_TOL).any() or abs(v.sum() - 1.0) > _ROW_TOL:
             raise ValueError("not a probability vector")
         self.pi = v
@@ -81,7 +85,10 @@ def build_dtmc(channel, activation_probs: dict, alpha: dict) -> TransitionMatrix
     for y, p in activation_probs.items():
         if not 0.0 < p < 1.0:
             raise ValueError(f"degenerate activation probability p[{y}]={p}")
-    total_alpha = sum(alpha.get(s, 0.0) for s in states)
+    weights = [alpha.get(s, 0.0) for s in states]
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("alpha values must be finite")
+    total_alpha = sum(weights)
     if abs(total_alpha - 1.0) > 1e-9:
         raise ValueError("alpha must sum to 1 over the feasible schedules")
     for y in nodes:

@@ -60,7 +60,15 @@ class TestBuildDtmc:
         ({0: 0.5, 1: 0.5}, {IDLE: 0.2, 0: 0.4, 1: 0.3},
          "alpha must sum to 1 over the feasible schedules"),
         ({0: 0.5, 1: 0.5}, {IDLE: 0.2, 0: 0.4, 1: 0.5},
-         "alpha must sum to 1 over the feasible schedules")])
+         "alpha must sum to 1 over the feasible schedules"),
+        # a NaN sum passes the tolerance test, and the chain never reads
+        # the Idle mass
+        ({0: 0.5, 1: 0.5}, {IDLE: math.nan, 0: 0.4, 1: 0.4},
+         "alpha values must be finite"),
+        ({0: 0.5, 1: 0.5}, {IDLE: 0.2, 0: math.nan, 1: 0.4},
+         "alpha values must be finite"),
+        ({0: 0.5, 1: 0.5}, {IDLE: math.inf, 0: 0.4, 1: 0.4},
+         "alpha values must be finite")])
     def test_bad_probabilities_rejected(self, probs, alpha, message):
         with pytest.raises(ValueError, match=message):
             build_dtmc((1, 1), probs, alpha)
@@ -89,7 +97,12 @@ class TestSolveStationary:
         ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
          "matrix shape does not match state count"),
         ([[1.2, -0.2], [0.5, 0.5]], "negative transition probability"),
-        ([[0.5, 0.5], [0.5, 0.4]], "rows must sum to 1")])
+        ([[0.5, 0.5], [0.5, 0.4]], "rows must sum to 1"),
+        ([[math.nan, 0.5], [0.5, 0.5]],
+         "transition probabilities must be finite"),
+        ([[math.nan] * 2] * 2, "transition probabilities must be finite"),
+        ([[math.inf, 0.5], [0.5, 0.5]],
+         "transition probabilities must be finite")])
     def test_bad_transition_matrix_rejected(self, probs, message):
         with pytest.raises(ValueError, match=message):
             TransitionMatrix((IDLE, 0), np.array(probs))
@@ -97,6 +110,13 @@ class TestSolveStationary:
     @pytest.mark.parametrize("pi", [[0.5, 0.4], [1.1, -0.1], [0.5, 0.6]])
     def test_not_a_probability_vector_rejected(self, pi):
         with pytest.raises(ValueError, match="not a probability vector"):
+            StationaryDistribution((IDLE, 0), np.array(pi))
+
+    @pytest.mark.parametrize("pi", [[math.nan, 0.5], [math.nan, math.nan],
+                                    [math.inf, 0.0]])
+    def test_non_finite_probability_vector_rejected(self, pi):
+        with pytest.raises(ValueError,
+                           match="stationary probabilities must be finite"):
             StationaryDistribution((IDLE, 0), np.array(pi))
 
 
@@ -227,6 +247,15 @@ class TestJointChainCounterexample:
     def test_bad_election_probabilities_rejected(self, alpha):
         with pytest.raises(ValueError, match=r"a0\+a1 <= 1"):
             build_joint_channel_chain(0.4, p0_on=0.9, p0_off=0.3, p1=0.6,
+                                      alpha=alpha)
+
+    @pytest.mark.parametrize("rho0,alpha,message", [
+        (math.nan, (0.4, 0.4), "transition probabilities must be finite"),
+        (0.4, (math.nan, 0.4), "alpha values must be finite"),
+        (0.4, (0.4, math.nan), "alpha values must be finite")])
+    def test_non_finite_input_rejected(self, rho0, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            build_joint_channel_chain(rho0, p0_on=0.9, p0_off=0.3, p1=0.6,
                                       alpha=alpha)
 
     def test_equal_activation_restores_reversibility(self):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from relaysim.harness import (DECISION_MODES, MAX_TRAJECTORY_POINTS,
                               boundary_oracle, box_grid, config_to_dict,
                               gamma_grid, header_lines, parse_floats,
                               sample_slots, stable_fraction)
+from relaysim.lanes import run_lanes
 from relaysim.scheduling import SCHEDULER_KINDS
 
 
@@ -621,9 +623,42 @@ def test_oracle_makes_one_run_seeds_call_per_probe(monkeypatch):
                                      50_001, 99_999])
 def test_sample_slots_stride(horizon):
     slots = sample_slots(horizon)
+    assert sample_slots(horizon) is slots  # one shared tuple per horizon
     assert slots[0] == 0 and slots[-1] == horizon - 1
     assert len(slots) <= MAX_TRAJECTORY_POINTS + 1
     stride = math.ceil(horizon / MAX_TRAJECTORY_POINTS)
     gaps = [b - a for a, b in zip(slots, slots[1:])]
     assert gaps[:-1] == [stride] * (len(gaps) - 1)
     assert all(0 < g <= stride for g in gaps)
+
+
+@pytest.mark.parametrize("scheduler", ["mws", "rqcsma"])
+def test_results_at_one_horizon_share_their_slots(scheduler):
+    cfg = make_config(lam=(0.3, 0.2), horizon=1_500, n_seeds=3,
+                      scheduler=scheduler)
+    shared = sample_slots(cfg.horizon)
+    results = [*run_seeds(cfg), run_once(cfg, 9),
+               *run_lanes(cfg, [((0.3, 0.2), 0), ((0.1, 0.1), 5)])]
+    assert all(r.slots is shared for r in results)
+
+
+def test_each_extra_seed_keeps_only_its_own_trajectory():
+    """A result at horizon 1e4 keeps its totals (one tuple of 10 001
+    entries, about 80 KB), not a copy of the 10 001 sampled slots as well
+    (about 0.36 MB more)."""
+    cfg = make_config(lam=(0.3, 0.2), horizon=10_000, scheduler="mws")
+    # warm up, so that neither the shared index nor any other cache
+    # filled by a first run counts as a seed's cost
+    run_seeds(replace(cfg, n_seeds=1))
+
+    def held(n_seeds):
+        """Traced bytes while the results of n_seeds seeds are alive."""
+        tracemalloc.start()
+        try:
+            results = run_seeds(replace(cfg, n_seeds=n_seeds))
+            assert len(results) == n_seeds
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert (held(6) - held(2)) / 4 < 150_000
