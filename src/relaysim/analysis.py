@@ -88,6 +88,10 @@ def build_dtmc(channel, activation_probs: dict, alpha: dict) -> TransitionMatrix
     weights = [alpha.get(s, 0.0) for s in states]
     if not all(map(math.isfinite, weights)):
         raise ValueError("alpha values must be finite")
+    for state, weight in zip(states, weights):
+        if weight < 0.0:
+            name = "Idle" if state is IDLE else state
+            raise ValueError(f"alpha must not be negative on schedule {name}")
     total_alpha = sum(weights)
     if abs(total_alpha - 1.0) > 1e-9:
         raise ValueError("alpha must sum to 1 over the feasible schedules")
@@ -213,7 +217,8 @@ def build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha) -> TransitionMatri
     a0, a1 = alpha
     if a0 < 0 or a1 < 0 or a0 + a1 > 1 + 1e-12:
         raise ValueError("election probabilities must satisfy a0+a1 <= 1")
-    election = {IDLE: 1.0 - a0 - a1, 0: a0, 1: a1}
+    # a0 + a1 may pass 1 by rounding; Idle's mass is never negative
+    election = {IDLE: max(0.0, 1.0 - a0 - a1), 0: a0, 1: a1}
     # step[x, x', s0'] = P(s0') * K_{s0'}(x, x'), over x, x' in (Idle, 0, 1)
     step = np.stack([pr * build_dtmc((1, 1), {0: p0, 1: p1}, election).probs
                      for pr, p0 in ((1.0 - rho0, p0_off), (rho0, p0_on))],

@@ -68,7 +68,12 @@ class TestBuildDtmc:
         ({0: 0.5, 1: 0.5}, {IDLE: 0.2, 0: math.nan, 1: 0.4},
          "alpha values must be finite"),
         ({0: 0.5, 1: 0.5}, {IDLE: math.inf, 0: 0.4, 1: 0.4},
-         "alpha values must be finite")])
+         "alpha values must be finite"),
+        # sums to 1, and the chain never reads the Idle mass
+        ({0: 0.5, 1: 0.5}, {IDLE: -0.2, 0: 0.6, 1: 0.6},
+         "alpha must not be negative on schedule Idle"),
+        ({0: 0.5, 1: 0.5}, {IDLE: 0.6, 0: 0.6, 1: -0.2},
+         "alpha must not be negative on schedule 1")])
     def test_bad_probabilities_rejected(self, probs, alpha, message):
         with pytest.raises(ValueError, match=message):
             build_dtmc((1, 1), probs, alpha)
@@ -264,6 +269,13 @@ class TestJointChainCounterexample:
         assert abs(kolmogorov_mismatch(tm)) < 1e-15
         pi = solve_stationary(tm)
         assert check_detailed_balance(tm, pi) < 1e-12
+
+    def test_full_election_rounding_past_one_accepted(self):
+        # a0 + a1 = 1 + 1e-13: inside the chain's tolerance, so the Idle
+        # mass rounds to 0 rather than failing build_dtmc's sign check
+        tm = build_joint_channel_chain(0.4, p0_on=0.9, p0_off=0.3, p1=0.6,
+                                       alpha=(0.7, 0.3 + 1e-13))
+        assert np.allclose(tm.probs.sum(axis=1), 1.0)
 
 
 class TestRateRegion:

@@ -12,8 +12,8 @@ import pytest
 
 from relaysim import ExperimentConfig, NetworkParams, run_once, run_seeds
 from relaysim import harness
-from relaysim.harness import (BLOCK_SLOTS, aggregate_ci, stable_fraction,
-                              sweep_grid)
+from relaysim.harness import (BLOCK_SLOTS, aggregate_ci, box_grid,
+                              stable_fraction, sweep_grid)
 from relaysim.lanes import MAX_TABLE_RELAYS, activation_table, run_lanes
 from relaysim.scheduling import activation_probability
 
@@ -79,6 +79,23 @@ def test_many_relays(scheduler, mode):
                               horizon=BLOCK_SLOTS + 30, n_seeds=1,
                               decision_mode=mode)
     lanes = [(lam, k) for k, lam in enumerate(lane_rates(n_relays, 1)[1:3])]
+    assert_lanes_equal_run_once(config, lanes)
+
+
+@pytest.mark.parametrize("scheduler,mode,n_points", [
+    ("rqcsma", "contention", 16), ("ub", "contention", 8),
+    ("qcsma", "sampler", 8)])
+def test_sweep_shaped_calls(scheduler, mode, n_points):
+    """Sweep-sized calls across two block boundaries: the one-relay rate
+    box of 4 x 4 points with 3 seeds each is 48 lanes, the lanes of a
+    sweep pool part are 24."""
+    params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0))
+    config = ExperimentConfig(params=params, scheduler=scheduler,
+                              horizon=2 * BLOCK_SLOTS + 17, n_seeds=1,
+                              decision_mode=mode)
+    lanes = [(lam, 50 + 3 * k + seed)
+             for k, lam in enumerate(box_grid(4, 0.8, 0.8)[:n_points])
+             for seed in range(3)]
     assert_lanes_equal_run_once(config, lanes)
 
 
