@@ -11,6 +11,7 @@ packets vs. packets relayed on behalf of node 0).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
@@ -21,6 +22,16 @@ IDLE = None
 
 Schedule = Optional[int]
 ChannelStateVector = tuple  # (N+1) bits, entry i is node i's channel state
+
+
+def integer(name, value):
+    """`value` as an int, by operator.index; anything that is not an
+    integer, a float such as 2.5 or 1.0 included, raises a ValueError that
+    names the field `name`."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,8 @@ class NetworkParams:
     schedulers. contention_window is the number W of extra backoff mini-slots
     after the N+1 channel-broadcast mini-slots.
     seed is the non-negative base seed that run_seeds counts up from.
+    The four counts (n_relays, a_max, contention_window, seed) must be
+    integers.
     """
 
     n_relays: int
@@ -51,6 +64,8 @@ class NetworkParams:
     def __post_init__(self):
         object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
         object.__setattr__(self, "lam", tuple(float(a) for a in self.lam))
+        for name in ("n_relays", "a_max", "contention_window", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         n = self.n_relays
         if n < 1:
             raise ValueError("need at least one relay")

@@ -31,7 +31,8 @@ import numpy as np
 
 from .analysis import ray_direction
 from .contention import elect_block, sample_option, sampler_options
-from .core import IDLE, NetworkParams, QueueState, SlotRecord, apply_slot
+from .core import (IDLE, NetworkParams, QueueState, SlotRecord, apply_slot,
+                   integer)
 from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
 from .scheduling import (SCHEDULER_KINDS, mws_step, qcsma_step, rqcsma_step,
                          ub_step)
@@ -64,6 +65,8 @@ class ExperimentConfig:
     trace: bool = False
 
     def __post_init__(self):
+        self.horizon = integer("horizon", self.horizon)
+        self.n_seeds = integer("n_seeds", self.n_seeds)
         if self.scheduler not in SCHEDULER_KINDS:
             raise ValueError(f"scheduler must be one of {SCHEDULER_KINDS}")
         if self.decision_mode not in DECISION_MODES:
@@ -94,24 +97,38 @@ def classify_stability(slots, totals, total_rate, horizon):
     Least-squares slope over the samples in the final 50% of the horizon;
     stable iff that slope is below STABLE_SLOPE packets/slot and the final
     backlog is below half of the total_rate * horizon packets offered over
-    the horizon (vacuous for zero offered load).
+    the horizon (vacuous for zero offered load). The fit's slot side is
+    built once per horizon for the shared sample_slots(horizon) tuple and
+    from `slots` for any other sequence, by the same operations, so both
+    give the same bits.
     """
     if len(slots) < MIN_CLASSIFIED_SAMPLES:
         raise ValueError(f"trajectory must have at least "
                          f"{MIN_CLASSIFIED_SAMPLES} samples")
-    xs = np.asarray(slots, dtype=float)
+    if (isinstance(horizon, int) and horizon >= 1
+            and slots is sample_slots(horizon)):
+        tail, xm, denom = _sampled_tail_fit(horizon)
+    else:
+        tail, xm, denom = _tail_fit(slots, horizon)
     ys = np.asarray(totals, dtype=float)
-    cut = horizon / 2.0
-    tail = xs >= cut
-    x, y = xs[tail], ys[tail]
-    xm = x - x.mean()
-    denom = (xm * xm).sum()
+    y = ys[tail]
     slope = float((xm * (y - y.mean())).sum() / denom) if denom > 0 else 0.0
 
     stable = slope < STABLE_SLOPE
     if total_rate > 0:
         stable = stable and ys[-1] < 0.5 * horizon * total_rate
     return bool(stable), slope
+
+
+def _tail_fit(slots, horizon):
+    """The slot side of classify_stability's fit: the mask of the samples
+    in the final half of the horizon, their centred slots and the sum of
+    those squared."""
+    xs = np.asarray(slots, dtype=float)
+    tail = xs >= horizon / 2.0
+    x = xs[tail]
+    xm = x - x.mean()
+    return tail, xm, (xm * xm).sum()
 
 
 @cache
@@ -128,14 +145,27 @@ def sample_slots(horizon):
     return tuple(slots) if slots[-1] == horizon - 1 else (*slots, horizon - 1)
 
 
+@cache
+def _sampled_tail_fit(horizon):
+    """_tail_fit of sample_slots(horizon), built once per horizon and
+    shared read-only by every classification at that horizon."""
+    fit = _tail_fit(sample_slots(horizon), horizon)
+    fit[0].flags.writeable = fit[1].flags.writeable = False
+    return fit
+
+
 def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
                distinct_channels, records) -> RunResult:
     """A run's RunResult from its sampled trajectory and its sum of per-slot
     total backlogs; a trajectory of fewer than MIN_CLASSIFIED_SAMPLES
-    samples is left unclassified."""
+    samples is left unclassified. `totals` is a list of ints or, from the
+    lane engine, an int64 array, which is classified as it is; the result
+    holds it as a tuple of ints either way."""
     stable, slope = None, None
     if len(slots) >= MIN_CLASSIFIED_SAMPLES:
         stable, slope = classify_stability(slots, totals, sum(lam), horizon)
+    if isinstance(totals, np.ndarray):
+        totals = totals.tolist()
     return RunResult(
         seed=seed,
         q_avg=acc / horizon,

@@ -3,10 +3,16 @@
 A lane is one run of a shared ExperimentConfig that differs from the others
 only in its arrival rates and seed. run_lanes keeps every lane's state in
 numpy arrays and steps all lanes one slot at a time, so the per-slot Python
-overhead is paid once for L lanes instead of once per run. Each lane draws
-from its own RunStreams(seed) exactly the values run_once draws, in the same
-order, and repeats run_once's integer and floating-point operations, so its
-RunResult equals run_once's field by field (tests/test_lanes.py). sweep_grid
+overhead is paid once for L lanes instead of once per run. Each lane reads
+exactly the values run_once draws from RunStreams(seed), in the same order,
+and repeats run_once's integer and floating-point operations, so its
+RunResult equals run_once's field by field (tests/test_lanes.py). The
+channel, arrival and contention streams serve a fixed count per slot (see
+rng), so every lane with one seed would draw the same values from them:
+each distinct seed draws them once per block, and its lanes share them (a
+sweep part of L lanes over n_seeds seeds has about L / n_seeds lanes per
+seed). Each lane keeps its own scheduler stream, whose use depends on the
+lane's queues. sweep_grid
 runs its lanes here; run, boundary-oracle and run_seeds stay on run_once,
 which is faster for the few lanes they run at a time.
 
@@ -27,20 +33,26 @@ node and one column per lane, so that each row's lanes are contiguous):
   total backlogs are summed after its last slot.
 - schedules: a lane's schedule x is held as one flat index per lane, which
   reads what x serves and its action backlog from tables.
-- channels, arrivals and elections: drawn per lane in blocks of BLOCK_SLOTS
-  slots (sample_channel_matrix, sample_arrival_matrix, the contention
-  stream's uniforms) and stacked with a lane axis.
+- channels, arrivals and elections: drawn per distinct seed in blocks of
+  BLOCK_SLOTS slots (sample_channel_matrix, the arrival and contention
+  streams' uniforms) and stacked with a seed axis. What follows from them
+  alone (contenders, elections, backoff draws, memory-cell indices,
+  sampler options) is computed per seed, then expanded to a lane axis by one
+  gather; a lane's arrivals compare its seed's uniforms with the lane's own
+  per-node thresholds in one array operation.
 - scheduler stream: a buffer of each lane's next values and a cursor into
   it; a lane advances its cursor only where run_once would draw.
 - activation probabilities: a table of activation_probability(gain * b)
   over integer backlogs b, so every coin compares against the value
   run_once computes.
-- channel realizations: a dense (lanes, 2^(N+1)) table indexed by the
-  channel bitmask marks the ones a lane has seen and, for the CSMA
-  schedulers, holds the carrier-sense memory of each rule channel. Above
+- channel realizations: dense tables of 2^(N+1) cells indexed by the
+  channel bitmask mark the ones each seed has seen (one row per seed) and,
+  for the CSMA schedulers, hold each lane's carrier-sense memory of each
+  rule channel. Above
   MAX_TABLE_RELAYS relays that table is too large, and run_lanes runs every
   lane through run_once.
-- trajectory: one int64 array of shape (samples, lanes).
+- trajectory: one int64 array of shape (samples, lanes); each lane's
+  column is classified as it is (harness.run_result).
 
 At a few dozen lanes a slot's cost is mostly numpy's fixed cost per call,
 so the slot loop makes few calls, each on whole per-lane arrays. Every
@@ -61,7 +73,7 @@ import numpy as np
 from .contention import backoff_draws, contenders, elect_rows
 from .harness import (BLOCK_SLOTS, ExperimentConfig, run_once, run_result,
                       sample_slots)
-from .rng import RunStreams, sample_arrival_matrix, sample_channel_matrix
+from .rng import RngStream, RunStreams, sample_channel_matrix
 from .scheduling import activation_probability
 
 # Largest relay count with a dense per-realization table (2^(N+1) cells).
@@ -106,7 +118,7 @@ def run_lanes(config: ExperimentConfig, lanes):
     rqcsma = config.scheduler == "rqcsma"
     for k, (p, (_, seed)) in enumerate(zip(lane_params, lanes)):
         yield run_result(seed, p.lam, config.horizon, slots,
-                         traj[:, k].tolist(), int(acc[k]),
+                         traj[:, k], int(acc[k]),
                          # every rqcsma slot writes its realization's cell
                          distinct[k] if rqcsma else 0, distinct[k], [])
 
@@ -128,10 +140,27 @@ def _simulate(config, lane_params, seeds, slots):
     gain = params.activation_gain
     n_lanes = len(seeds)
     n = params.n_nodes
+    m = params.a_max
     relays = n - 1
     zero, sink = 2 * relays + 1, 2 * relays + 2
     lane = np.arange(n_lanes)
-    streams = [RunStreams(seed) for seed in seeds]
+    # Lanes share their seed's channel, arrival and contention draws: each
+    # distinct seed draws them once per block, along a seed axis whose row
+    # lane_seed[k] is lane k's.
+    seed_index = {}
+    lane_seed = np.array([seed_index.setdefault(seed, len(seed_index))
+                          for seed in seeds])
+    streams = [RunStreams(seed) for seed in seed_index]
+    seed_rows = np.arange(len(streams))
+
+    def per_lane(a, axis):
+        """A per-seed array expanded to one entry per lane along `axis`."""
+        return a.take(lane_seed, axis=axis)
+
+    # Lane k's arrival thresholds, a_max per node, as sample_arrival_matrix
+    # compares them; one column per lane.
+    thresholds = np.stack([np.repeat([a / m for a in p.lam], m)
+                           for p in lane_params], axis=1)
     # Per-lane constants, the operands of the slot loop's ufuncs.
     zeros = np.zeros(n_lanes, dtype=np.int64)
     ones = np.ones(n_lanes, dtype=np.int64)
@@ -145,6 +174,8 @@ def _simulate(config, lane_params, seeds, slots):
     # The flat index of a lane's Q_0i, by lane * N + i - 1.
     relay_row = lane * relays
     relayed_at = (np.arange(n, zero) * n_lanes + lane[:, None]).ravel()
+    # With one relay the source always forwards to its Q_01.
+    target = relayed_at
 
     def index(x, lanes=lane):
         """The flat index (x + 1) * n_lanes + lane that holds a lane's
@@ -170,9 +201,12 @@ def _simulate(config, lane_params, seeds, slots):
     step = np.stack((-ones, ones))
 
     cells = 1 << n
-    seen = np.zeros((n_lanes, cells), dtype=bool)
+    seen = np.zeros((len(streams), cells), dtype=bool)
     weights = 1 << np.arange(n, dtype=np.int64)
     if csma:
+        # The scheduler stream is each lane's own: how many values it
+        # takes depends on the lane's queues.
+        coins = [RngStream(seed, "scheduler") for seed in seeds]
         memory = np.repeat(idle, cells)
         buf = np.zeros((n_lanes, _COIN_BUFFER))
         bflat = buf.reshape(-1)
@@ -193,99 +227,107 @@ def _simulate(config, lane_params, seeds, slots):
     acc = np.zeros(n_lanes, dtype=np.int64)
     total = zeros
     filled = 0
+    add, copyto, maximum, minimum, multiply, subtract = (
+        np.add, np.copyto, np.maximum, np.minimum, np.multiply, np.subtract)
 
     for start in range(0, horizon, BLOCK_SLOTS):
         n_slots = min(BLOCK_SLOTS, horizon - start)
+        # The block's draws, and what follows from the channels alone, are
+        # per seed; each is expanded to lanes by one gather.
         channels = np.stack([sample_channel_matrix(params, s.channels, n_slots)
-                             for s in streams], axis=1)  # (slots, lanes, N+1)
-        arrivals = np.stack([sample_arrival_matrix(p, s.arrivals, n_slots)
-                             for p, s in zip(lane_params, streams)], axis=2)
-        seen[lane, channels @ weights] = True
+                             for s in streams], axis=1)  # (slots, seeds, N+1)
+        arrived = per_lane(np.stack(
+            [s.arrivals.uniform_matrix(n_slots, n * m) for s in streams],
+            axis=2), 2) < thresholds  # (slots, (N+1) * a_max, lanes)
+        arrivals = arrived.reshape(n_slots, n, m, n_lanes).sum(
+            axis=2, dtype=np.int64)
+        seen[seed_rows, channels @ weights] = True
         rule = np.ones_like(channels) if blind else channels
         if scheduler == "mws":
-            mws_mask = contenders(rule).transpose(0, 2, 1).astype(
-                np.int64, order="C")
+            mws_mask = per_lane(contenders(rule).transpose(0, 2, 1).astype(
+                np.int64), 2)
         elif csma and not sampler:
-            decision_at = index(elect_rows(np.stack(
+            decision_at = index(per_lane(elect_rows(np.stack(
                 [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=1), window + 1, contenders(rule)))
+                axis=1), window + 1, contenders(rule)), 1))
         elif scheduler == "ub":
-            draws = backoff_draws(np.stack(
+            draws = per_lane(backoff_draws(np.stack(
                 [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=2), window)  # (slots, nodes, lanes)
-        rule_c0_off = (rule[:, :, 0] == 0).astype(np.int64)
+                axis=2), window), 2)  # (slots, nodes, lanes)
+        rule_c0_off = per_lane((rule[:, :, 0] == 0).astype(np.int64), 1)
         # The source forwards what it serves from Q_0 (flat index `lane`)
         # only when its realized channel is OFF.
-        forward_from = np.where(channels[:, :, 0] == 0, lane, -1)
+        forward_from = np.where(per_lane(channels[:, :, 0], 1) == 0, lane, -1)
         moves[:n_slots] = sink_at
         if csma:
-            cell_at = rule @ weights + lane * cells
+            cell_at = per_lane(rule @ weights, 1) + lane * cells
         if sampler:
             # Options of sampled_decision: Idle, node 0, then the relays ON
             # under the rule channel, in index order; option k of (slot,
             # lane) row r at options[r * (n + 1) + k].
             on = rule[:, :, 1:] != 0
-            options = index(_schedule_rows(
-                np.sort(np.where(on, np.arange(1, n), n), axis=-1)),
+            options = index(per_lane(_schedule_rows(
+                np.sort(np.where(on, np.arange(1, n), n), axis=-1)), 1),
                 lane[:, None]).reshape(-1)
             row = (np.arange(n_slots * n_lanes) * (n + 1)).reshape(
                 n_slots, n_lanes)
-            last_option = on.sum(axis=-1) + 1
+            last_option = per_lane(on.sum(axis=-1) + 1, 1)
             option_scale = (last_option + 1).astype(float)
         if blind:
             # The schedule the data slot serves, by the held one's index: a
             # blind schedule holding an OFF relay wastes the slot.
-            served_at = index(_schedule_rows(
+            served_at = index(per_lane(_schedule_rows(
                 np.where(channels[:, :, 1:] != 0, np.arange(1, n), -1)
-            ).transpose(0, 2, 1)).reshape(n_slots, -1)
+            ).transpose(0, 2, 1), 2)).reshape(n_slots, -1)
         if csma:
-            _refill(buf, at - b_row, streams)
+            _refill(buf, at - b_row, coins)
             at = b_row.copy()
             # An action backlog is at most the total backlog, which grows
             # by at most n * a_max per slot.
-            reach = int(total.max()) + n * params.a_max * n_slots
+            reach = int(total.max()) + n * m * n_slots
             top = len(table) - 1
             if reach > top and table[top] != 1.0:
                 table = activation_table(gain, max(2 * top, reach) + 1)
 
         for t in range(n_slots):
-            # The relay the source forwards to: the smallest Q_0i, lowest
-            # index on ties (relay_target).
-            target = relayed_at[q_relayed.argmin(axis=0) + relay_row]
+            if relays > 1:
+                # The relay the source forwards to: the smallest Q_0i,
+                # lowest index on ties (relay_target).
+                target = relayed_at[q_relayed.argmin(axis=0) + relay_row]
             # Action backlogs: a relay serves the larger of its queues; the
             # source its own queue when its rule channel is ON, else the
             # differential backlog max(Q_0 - min Q_0i, 0).
-            np.maximum(q_relay, q_relayed, out=ab_relay)
+            maximum(q_relay, q_relayed, out=ab_relay)
             q_target = qflat[target]
-            np.multiply(q_target, rule_c0_off[t], out=q_target)
-            np.subtract(q0, q_target, out=q_target)
-            np.maximum(q_target, zeros, out=ab0)
+            multiply(q_target, rule_c0_off[t], out=q_target)
+            subtract(q0, q_target, out=q_target)
+            maximum(q_target, zeros, out=ab0)
 
             if scheduler == "mws":
                 # The first largest masked backlog; Idle (row 0) when every
                 # one is 0.
-                np.multiply(ab_nodes, mws_mask[t], out=masked_nodes)
+                multiply(ab_nodes, mws_mask[t], out=masked_nodes)
                 x = masked.argmax(axis=0)
-                np.multiply(x, width, out=x)
-                np.add(x, idle, out=x)
+                multiply(x, width, out=x)
+                add(x, idle, out=x)
             elif scheduler == "ub":
                 # elect_rows over the backlogged nodes: the unique minimum
                 # draw wins, where the first and last minimum coincide.
                 draw = draws[t]
-                np.copyto(draw, no_draw, where=ab_nodes == node_zeros)
+                copyto(draw, no_draw, where=ab_nodes == node_zeros)
                 first = draw.argmin(axis=0)
                 collided = first + draw[::-1].argmin(axis=0) != last
-                x = np.multiply(first, width, out=first)
-                np.add(x, source, out=x)
-                np.copyto(x, idle, where=collided)
+                x = multiply(first, width, out=first)
+                add(x, source, out=x)
+                copyto(x, idle, where=collided)
             else:
                 if sampler:
                     u = bflat[at]
                     at += ones
-                    np.multiply(u, option_scale[t], out=u)
+                    multiply(u, option_scale[t], out=u)
                     k = u.astype(np.int64)
-                    np.minimum(k, last_option[t], out=k)
-                    np.add(k, row[t], out=k)
+                    minimum(k, last_option[t], out=k)
+                    add(k, row[t], out=k)
                     d = options[k]
                 else:
                     d = decision_at[t]
@@ -301,8 +343,8 @@ def _simulate(config, lane_params, seeds, slots):
                 coin = bflat[at]
                 at += draw
                 win = draw & (coin < table.take(b, mode="clip"))
-                np.copyto(x, idle, where=need)
-                np.copyto(x, d, where=win)
+                copyto(x, idle, where=need)
+                copyto(x, d, where=win)
                 memory[cell] = x
             if blind:
                 x = served_at[t][x]
@@ -315,9 +357,9 @@ def _simulate(config, lane_params, seeds, slots):
             serves = q_own > zeros
             move = moves[t]
             out, into = move[0], move[1]
-            np.copyto(out, own, where=serves)
-            np.copyto(out, alt, where=qflat[alt] > q_own)
-            np.copyto(into, target, where=out == forward_from[t])
+            copyto(out, own, where=serves)
+            copyto(out, alt, where=qflat[alt] > q_own)
+            copyto(into, target, where=out == forward_from[t])
             qflat[move] += step
             q_nodes += arrivals[t]
 
@@ -338,11 +380,12 @@ def _simulate(config, lane_params, seeds, slots):
         traj[filled:filled + len(in_block)] = block[in_block - start]
         filled += len(in_block)
         # This block's arrays go before the next block draws its own.
-        channels = rule = arrivals = rule_c0_off = forward_from = None
+        channels = rule = arrived = arrivals = None
+        rule_c0_off = forward_from = None
         cell_at = mws_mask = decision_at = draws = served_at = None
         on = options = row = option_scale = last_option = None
 
-    return traj, acc, seen.sum(axis=1).tolist()
+    return traj, acc, per_lane(seen.sum(axis=1), 0).tolist()
 
 
 def _schedule_rows(relay_entries):
@@ -351,12 +394,12 @@ def _schedule_rows(relay_entries):
     return np.concatenate((head, relay_entries), axis=-1)
 
 
-def _refill(buf, used, streams):
+def _refill(buf, used, coins):
     """Top each lane's scheduler-stream buffer up to full: the `used` values
     at the front of each row go, the unread ones move to the front and the
-    stream's next values fill the rest."""
+    lane's stream in `coins` fills the rest."""
     size = buf.shape[1]
-    for k, s in enumerate(streams):
+    for k, s in enumerate(coins):
         n_used = int(used[k])
         buf[k, :size - n_used] = buf[k, n_used:]
-        buf[k, size - n_used:] = s.scheduler.uniform_matrix(1, n_used)[0]
+        buf[k, size - n_used:] = s.uniform_matrix(1, n_used)[0]

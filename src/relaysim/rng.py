@@ -24,6 +24,13 @@ run_once the ub election, whose contenders are the backlogged nodes, and
 the scheduler stream depend on the queues and are drawn slot by slot; the
 lane engine (lanes.run_lanes) draws the ub uniforms in blocks as well and
 reads each lane's scheduler stream from a buffer, in the same order.
+
+Because the streams are positional and those three counts fixed, runs
+with the same seed, relay count and a_max draw the same channel, arrival
+and contention uniforms, whatever their arrival rates. The lane engine
+therefore draws those three streams once per distinct seed and shares
+them among the lanes with that seed; a lane's arrivals compare the shared
+uniforms with its own rates. The scheduler stream is each lane's own.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import math
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,11 +319,27 @@ class TestParamsValidation:
     @pytest.mark.parametrize("kw,message", [
         ({"n_relays": 0}, "need at least one relay"),
         ({"a_max": 0}, "a_max must be >= 1"),
-        ({"contention_window": 0}, "contention window must be >= 1")])
+        ({"contention_window": 0}, "contention window must be >= 1"),
+        ({"n_relays": 1.0}, "n_relays must be an integer, got 1.0"),
+        ({"a_max": 2.5}, "a_max must be an integer, got 2.5"),
+        ({"a_max": 1.0}, "a_max must be an integer, got 1.0"),
+        ({"contention_window": 2.5},
+         "contention_window must be an integer, got 2.5"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"seed": "3"}, "seed must be an integer, got '3'")])
     def test_counts_below_one_rejected(self, kw, message):
         args = {"n_relays": 1, "rho": (0.5, 0.5), "lam": (0.0, 0.0)}
         with pytest.raises(ValueError, match=message):
             NetworkParams(**{**args, **kw})
+
+    def test_integer_like_counts_become_ints(self):
+        """Whatever operator.index accepts is a count, held as an int."""
+        p = NetworkParams(n_relays=np.int64(1), rho=(0.5, 0.5),
+                          lam=(0.0, 0.0), a_max=np.int32(2),
+                          contention_window=np.uint8(8), seed=np.int64(3))
+        counts = (p.n_relays, p.a_max, p.contention_window, p.seed)
+        assert counts == (1, 2, 8, 3)
+        assert all(type(c) is int for c in counts)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam", "beta", "activation_gain"])

@@ -14,10 +14,11 @@ import relaysim
 from relaysim import (ExperimentConfig, NetworkParams, aggregate_ci,
                       classify_stability, parse_config, run_once, run_seeds,
                       sweep_grid)
+from relaysim import harness
 from relaysim.harness import (DECISION_MODES, MAX_TRAJECTORY_POINTS,
-                              boundary_oracle, box_grid, config_to_dict,
-                              gamma_grid, header_lines, parse_floats,
-                              sample_slots, stable_fraction)
+                              STABLE_SLOPE, boundary_oracle, box_grid,
+                              config_to_dict, gamma_grid, header_lines,
+                              parse_floats, sample_slots, stable_fraction)
 from relaysim.lanes import run_lanes
 from relaysim.scheduling import SCHEDULER_KINDS
 
@@ -68,6 +69,42 @@ class TestClassifyStability:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             classify_stability(tuple(range(50)), (0.0,) * 50, 0.0, 50)
+
+    @pytest.mark.parametrize("horizon", [100, 1_061, 10_000, 50_001])
+    @pytest.mark.parametrize("drift", [0.0, 0.004, 0.3])
+    def test_same_bits_for_any_slots_and_totals(self, horizon, drift):
+        """The shared sample_slots tuple (whose fit is cached) and an equal
+        list, with totals as a tuple of ints or an int64 array, give the
+        bits the fit gives when computed from scratch."""
+        slots = sample_slots(horizon)
+        walk = np.random.default_rng(horizon).integers(-3, 4, len(slots))
+        totals = np.maximum(np.cumsum(walk) + np.round(
+            drift * np.asarray(slots)).astype(np.int64), 0)
+        rate = 0.3
+        xs = np.asarray(list(slots), dtype=float)
+        ys = totals.astype(float)
+        tail = xs >= horizon / 2.0
+        x, y = xs[tail], ys[tail]
+        xm = x - x.mean()
+        denom = (xm * xm).sum()
+        slope = float((xm * (y - y.mean())).sum() / denom)
+        expected = (bool(slope < STABLE_SLOPE
+                         and ys[-1] < 0.5 * horizon * rate), slope.hex())
+        for s in (slots, list(slots)):
+            for t in (tuple(totals.tolist()), totals):
+                stable, got = classify_stability(s, t, rate, horizon)
+                assert (stable, got.hex()) == expected
+
+    def test_one_cached_fit_per_horizon(self):
+        """Every result at one horizon, from either engine, classifies
+        with the one fit of that horizon's sampled slots."""
+        harness._sampled_tail_fit.cache_clear()
+        cfg = make_config(lam=(0.3, 0.2), horizon=1_234, n_seeds=2)
+        results = [*run_seeds(cfg),
+                   *run_lanes(cfg, [((0.3, 0.2), 0), ((0.1, 0.1), 5)])]
+        assert all(r.stable is not None for r in results)
+        info = harness._sampled_tail_fit.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
 
 class TestAggregateCi:
@@ -375,6 +412,22 @@ class TestConfigFile:
 
 RESULT_FIELDS = ("seed", "q_avg", "slots", "totals", "final_total", "stable",
                  "slope", "memory_entries", "distinct_channels")
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"horizon": 100.0}, "horizon must be an integer, got 100.0"),
+    ({"horizon": 2.5}, "horizon must be an integer, got 2.5"),
+    ({"n_seeds": 2.0}, "n_seeds must be an integer, got 2.0"),
+    ({"n_seeds": 2.5}, "n_seeds must be an integer, got 2.5")])
+def test_non_integer_run_counts_rejected(kw, message):
+    with pytest.raises(ValueError, match=message):
+        make_config(**kw)
+
+
+def test_integer_like_run_counts_become_ints():
+    cfg = make_config(horizon=np.int64(300), n_seeds=np.int32(2))
+    assert (cfg.horizon, cfg.n_seeds) == (300, 2)
+    assert type(cfg.horizon) is int and type(cfg.n_seeds) is int
 
 
 def test_sink_without_trace_rejected():

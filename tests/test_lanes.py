@@ -99,6 +99,26 @@ def test_sweep_shaped_calls(scheduler, mode, n_points):
     assert_lanes_equal_run_once(config, lanes)
 
 
+@pytest.mark.parametrize("a_max", [1, 2])
+@pytest.mark.parametrize("n_relays", [1, 3])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_lanes_sharing_seeds(scheduler, mode, n_relays, a_max):
+    """Lanes that share a seed share its channel, arrival and contention
+    draws: three seeds interleaved across four rate points, every pair
+    once, and one (lam, seed) lane listed twice, over more than a block."""
+    n = n_relays + 1
+    params = NetworkParams(n_relays=n_relays, rho=RHO_CYCLE[:n],
+                           lam=(0.0,) * n, a_max=a_max)
+    config = ExperimentConfig(params=params, scheduler=scheduler,
+                              horizon=BLOCK_SLOTS + 37, n_seeds=1,
+                              decision_mode=mode)
+    rates = lane_rates(n_relays, a_max)
+    lanes = [(rates[k % 4], (21, 8, 40)[k % 3]) for k in range(12)]
+    lanes.insert(7, lanes[2])
+    assert_lanes_equal_run_once(config, lanes)
+
+
 @pytest.mark.parametrize("scheduler", ["rqcsma", "qcsma"])
 def test_small_gain_grows_the_activation_table(scheduler):
     """With a small activation gain no backlog reached here saturates the
