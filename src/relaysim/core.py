@@ -6,6 +6,11 @@ destination is an ON-OFF channel. Node 0 delivers directly when its channel
 is ON, otherwise it hands its head-of-line packet to the relay with the
 smallest relayed backlog. A relay serves the larger of its two queues (own
 packets vs. packets relayed on behalf of node 0).
+
+apply_slot evaluates the larger-queue rule inline, reading each relay queue
+once, and calls relay_target, the one definition of the forwarding target.
+tests/test_rule_equivalence.py pins both to the loop-based copies in
+tests/legacy_rules.py.
 """
 
 from __future__ import annotations
@@ -175,12 +180,8 @@ def relay_target(queues) -> int:
     Ties break to the lowest node index. `queues` is a QueueState or a flat
     row in its layout.
     """
-    n = len(queues) >> 1
-    best = n + 1
-    for k in range(n + 2, 2 * n + 1):
-        if queues[k] < queues[best]:
-            best = k
-    return best - n
+    relayed = queues[(len(queues) >> 1) + 1:]
+    return relayed.index(min(relayed)) + 1
 
 
 # apply_slot's served-queue tags by node index, made once per index rather
@@ -203,35 +204,40 @@ def apply_slot(queues, transmission: Schedule, channel,
     Q_0 must not create a phantom packet at the relay. A relay transmission
     with its channel OFF is rejected: feasible schedulers never emit one.
     """
-    row = list(queues)
-    n = len(row) >> 1
-
+    row = [*queues]
     tag = "none"
-    if transmission == 0:
-        if row[0] > 0:
-            row[0] -= 1
+    if transmission is IDLE:
+        pass  # an Idle slot serves no queue
+    elif transmission == 0:
+        q0 = row[0]
+        if q0 > 0:
+            row[0] = q0 - 1
             if channel[0]:
                 tag = "source-direct"
             else:
                 target = relay_target(row)
-                row[n + target] += 1
+                row[(len(row) >> 1) + target] += 1
                 tag = _relayed_to(target)
-    elif transmission is not IDLE:
+    else:
         i = transmission
         if not channel[i]:
             raise ValueError(
                 f"relay {i} scheduled with its channel OFF (scheduler bug)")
-        if row[i] >= row[n + i]:
-            if row[i] > 0:
-                row[i] -= 1
+        k = (len(row) >> 1) + i
+        own, relayed = row[i], row[k]
+        if own >= relayed:
+            if own > 0:
+                row[i] = own - 1
                 tag = _relay_own(i)
         else:
-            row[n + i] -= 1
+            row[k] = relayed - 1
             tag = _relay_forwarding(i)
 
-    for node, a in enumerate(arrivals):
+    node = 0
+    for a in arrivals:
         if a:
             row[node] += a
+        node += 1
     if type(queues) is not list:
         row = QueueState.from_row(row)
     return row, tag

@@ -71,6 +71,7 @@ from dataclasses import replace
 import numpy as np
 
 from .contention import backoff_draws, contenders, elect_rows
+from .core import integer
 from .harness import (BLOCK_SLOTS, ExperimentConfig, run_once, run_result,
                       sample_slots)
 from .rng import RngStream, RunStreams, sample_channel_matrix
@@ -102,7 +103,7 @@ def run_lanes(config: ExperimentConfig, lanes):
     yielded; results are built one at a time, so a caller that aggregates
     and drops them holds one lane's trajectory tuple at a time.
     """
-    lanes = [(tuple(lam), seed) for lam, seed in lanes]
+    lanes = [(tuple(lam), integer("seed", seed)) for lam, seed in lanes]
     params = config.params
     if params.n_relays > MAX_TABLE_RELAYS:
         for lam, seed in lanes:

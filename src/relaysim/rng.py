@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NetworkParams
+from .core import NetworkParams, integer
 
 STREAM_IDS = {"channels": 1, "arrivals": 2, "contention": 3, "scheduler": 4}
 
@@ -49,10 +49,13 @@ class RngStream:
 
     Draws are positional: the k-th value of a (seed, stream_id) stream is the
     same however it is consumed (single, row, or matrix). `position` counts
-    values served so far.
+    values served so far. The seed must be a non-negative integer; any other
+    value, a float such as 2.5 or 1.0 or a string included, raises a
+    ValueError naming it.
     """
 
     def __init__(self, seed, stream_id):
+        seed = integer("seed", seed)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         if stream_id not in STREAM_IDS:

@@ -23,6 +23,15 @@ unchanged.
 Every rule reads the backlogs by index from a flat row [Q_0, Q_1..Q_N,
 Q_01..Q_0N]: a QueueState, or the list of ints run_once keeps, so the rule
 a test calls is the rule a run executes.
+
+action_backlog and differential_backlog define the action-backlog rule,
+and the CSMA steps call them. mws_step and ub_step, which read every
+node's backlog each slot, evaluate the rule inline instead, with no helper
+call per node: mws_step all of it, ub_step its "backlog > 0" test under an
+all-ON channel. tests/test_rule_equivalence.py pins both to the rule:
+mws_step to the argmax of action_backlog over core.transmitters(channel)
+for N in {1, 2, 3, 8}, and ub_step to the old uniform backoff in
+tests/legacy_rules.py.
 """
 
 from __future__ import annotations
@@ -66,13 +75,25 @@ def mws_step(queues, channel, params: NetworkParams):
     The feasible nodes are core.transmitters(channel): node 0 and the ON
     relays, visited in index order.
     """
-    validate_channel(params, channel)
-    best, best_backlog = IDLE, 0
-    for i, on in enumerate(channel):
-        if on or i == 0:
-            backlog = action_backlog(queues, channel, i)
+    m = params.n_relays
+    if len(channel) != m + 1:
+        validate_channel(params, channel)
+    q0 = queues[0]
+    # Node 0's action backlog; at or below zero (differential_backlog's
+    # floor) it leaves the slot Idle.
+    best_backlog = q0 if channel[0] else q0 - min(queues[m + 1:])
+    if best_backlog > 0:
+        best = 0
+    else:
+        best, best_backlog = IDLE, 0
+    i = 1
+    while i <= m:  # no range object per slot
+        if channel[i]:
+            own, relayed = queues[i], queues[i + m]
+            backlog = own if own >= relayed else relayed
             if backlog > best_backlog:
                 best, best_backlog = i, backlog
+        i += 1
     return best
 
 
@@ -131,7 +152,12 @@ def ub_step(queues, channel, params: NetworkParams, rng):
     Backlogs are read under an all-ON channel, so a winning relay with an
     OFF channel wastes the slot (caller serves Idle).
     """
-    n, on = params.n_nodes, params.all_on
-    row = rng.uniform_row(n)
-    backlogged = [i for i in range(n) if action_backlog(queues, on, i) > 0]
+    m = params.n_relays
+    row = rng.uniform_row(m + 1)
+    backlogged = [0] if queues[0] > 0 else []
+    i = 1
+    while i <= m:  # no range object per slot
+        if queues[i] > 0 or queues[i + m] > 0:
+            backlogged.append(i)
+        i += 1
     return elect(row, backlogged, params.contention_window)

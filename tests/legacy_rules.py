@@ -14,6 +14,11 @@ tests/test_rule_equivalence.py holds analysis.RateRegion2 to it.
 build_joint_channel_chain is the schedule-channel chain with its carrier-sense
 kernel written out entry by entry, as it was before analysis built it from
 build_dtmc. tests/test_rule_equivalence.py holds the new chain to it.
+
+relay_target and apply_slot are the queue update as written before its body
+read each relay queue once: a loop over the relayed backlogs for the
+forwarding target, and row reads by index in every branch.
+tests/test_rule_equivalence.py holds core's two to them.
 """
 
 import math
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysim import IDLE
+from relaysim import IDLE, QueueState
 from relaysim.core import feasible_schedules
 from relaysim.analysis import TransitionMatrix, ray_direction
 from relaysim.scheduling import action_backlog, activation_probability
@@ -241,3 +246,50 @@ def build_joint_channel_chain(rho0, p0_on, p0_off, p1, alpha) -> TransitionMatri
         for j, (x_new, s_new) in enumerate(states):
             mat[i, j] = pr[s_new] * kern[s_new][xs.index(x), xs.index(x_new)]
     return TransitionMatrix(states, mat)
+
+
+def relay_target(queues):
+    """The relay i* node 0 forwards to: maximizes Q_0 - Q_0i (min backlog),
+    lowest node index on ties."""
+    n = len(queues) >> 1
+    best = n + 1
+    for k in range(n + 2, 2 * n + 1):
+        if queues[k] < queues[best]:
+            best = k
+    return best - n
+
+
+def apply_slot(queues, transmission, channel, arrivals):
+    """Serve `transmission`, then add arrivals; (new state, served tag)."""
+    row = list(queues)
+    n = len(row) >> 1
+
+    tag = "none"
+    if transmission == 0:
+        if row[0] > 0:
+            row[0] -= 1
+            if channel[0]:
+                tag = "source-direct"
+            else:
+                target = relay_target(row)
+                row[n + target] += 1
+                tag = f"source-relayed-to-{target}"
+    elif transmission is not IDLE:
+        i = transmission
+        if not channel[i]:
+            raise ValueError(
+                f"relay {i} scheduled with its channel OFF (scheduler bug)")
+        if row[i] >= row[n + i]:
+            if row[i] > 0:
+                row[i] -= 1
+                tag = f"relay-{i}-own"
+        else:
+            row[n + i] -= 1
+            tag = f"relay-{i}-forwarding"
+
+    for node, a in enumerate(arrivals):
+        if a:
+            row[node] += a
+    if type(queues) is not list:
+        row = QueueState.from_row(row)
+    return row, tag

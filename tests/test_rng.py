@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from relaysim import NetworkParams, RngStream, sample_arrivals, sample_channels
+from relaysim import (ExperimentConfig, NetworkParams, RngStream, run_once,
+                      sample_arrivals, sample_channels)
+from relaysim.lanes import run_lanes
 from relaysim.rng import sample_arrival_matrix, sample_channel_matrix
 
 
@@ -137,3 +139,39 @@ class TestStreams:
                 served.extend(rng.uniform_matrix(*size).ravel().tolist())
             assert rng.position == len(served)
         assert served == flat[:len(served)].tolist()
+
+
+# A seed must be a non-negative integer wherever a run is handed one: a float
+# or a string is rejected by name, not by numpy's SeedSequence or a failed
+# comparison.
+NOT_INTEGER_SEEDS = [2.5, 1.0, "3"]
+
+
+@pytest.mark.parametrize("seed", NOT_INTEGER_SEEDS)
+def test_stream_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError,
+                       match=rf"^seed must be an integer, got {seed!r}$"):
+        RngStream(seed, "channels")
+
+
+def test_stream_takes_an_integer_seed_of_any_integer_type():
+    want = RngStream(7, "arrivals").uniform_row(5)
+    assert RngStream(np.int64(7), "arrivals").uniform_row(5) == want
+    assert type(RngStream(np.int64(7), "arrivals").seed) is int
+
+
+@pytest.mark.parametrize("scheduler", ["mws", "rqcsma", "qcsma", "ub"])
+@pytest.mark.parametrize("seed", NOT_INTEGER_SEEDS)
+def test_runs_reject_a_seed_that_is_not_an_integer(scheduler, seed):
+    params = params_for((0.4, 0.7), lam=(0.2, 0.1))
+    config = ExperimentConfig(params=params, scheduler=scheduler,
+                              horizon=20, n_seeds=1)
+    message = rf"^seed must be an integer, got {seed!r}$"
+    with pytest.raises(ValueError, match=message):
+        run_once(config, seed)
+    with pytest.raises(ValueError, match=message):
+        list(run_lanes(config, [(params.lam, seed)]))
+    # The value a lane's seed equals decides nothing: 1.0 is rejected
+    # beside a lane with the integer seed 1 as well.
+    with pytest.raises(ValueError, match=message):
+        list(run_lanes(config, [(params.lam, 1), (params.lam, seed)]))

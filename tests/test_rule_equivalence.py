@@ -7,7 +7,10 @@ stream at the same position; mws must pick what the old log(1 + beta*x)
 weight argmax picked. The one-relay rate region must agree with its old
 two-case form off its faces, and its boundary with the old bisection. The
 joint schedule-channel chain built from build_dtmc must equal the one whose
-kernel was written out entry by entry.
+kernel was written out entry by entry. The scalar engine's step bodies,
+which restate those rules inline, must equal them: mws_step the argmax of
+action_backlog over the feasible nodes, apply_slot and relay_target the
+old queue update.
 """
 
 import itertools
@@ -23,8 +26,11 @@ from relaysim import (IDLE, NetworkParams, QueueState, RateRegion2,
                       build_joint_channel_chain)
 from relaysim.contention import (blind_decision, elect_block, run_contention,
                                  sampled_decision)
+from relaysim.core import (apply_slot, relay_target, transmitters,
+                           validate_channel)
 from relaysim.rng import RngStream, sample_channels
-from relaysim.scheduling import mws_step, qcsma_step, rqcsma_step, ub_step
+from relaysim.scheduling import (action_backlog, mws_step, qcsma_step,
+                                 rqcsma_step, ub_step)
 
 # Small backlogs make ties and zero backlogs common; large ones reach 10^6.
 BACKLOGS = st.one_of(st.integers(0, 4), st.integers(0, 10 ** 6))
@@ -180,6 +186,73 @@ def test_ub_step_equals_old_uniform_backoff(data, seed, n_relays, window):
         assert (ub_step(queues, channel, params, new)
                 == legacy.ub_step(queues, channel, params, old))
     assert_same_position(new, old)
+
+
+# ---------------------------------------------------------------------------
+# The scalar engine's inlined bodies against the rules they restate.
+
+INLINED_RELAYS = (1, 2, 3, 8)
+
+
+@st.composite
+def rows(draw, n_relays):
+    """slot_states, with the queues as a QueueState or as the list of ints
+    run_once keeps."""
+    queues, channel = draw(slot_states(n_relays))
+    return (list(queues) if draw(st.booleans()) else queues), channel
+
+
+@pytest.mark.parametrize("n_relays", INLINED_RELAYS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mws_equals_action_backlog_argmax(n_relays, data):
+    params = network(n_relays)
+    queues, channel = data.draw(rows(n_relays))
+    feasible = transmitters(channel)
+    backlogs = [action_backlog(queues, channel, i) for i in feasible]
+    best = max(backlogs)
+    expected = feasible[backlogs.index(best)] if best > 0 else IDLE
+    assert mws_step(queues, channel, params) == expected
+
+
+@pytest.mark.parametrize("n_relays", INLINED_RELAYS)
+def test_mws_rejects_a_channel_as_validate_channel_does(n_relays):
+    params = network(n_relays)
+    for length in (n_relays, n_relays + 2):
+        channel = (1,) * length
+        with pytest.raises(ValueError) as expected:
+            validate_channel(params, channel)
+        with pytest.raises(ValueError) as raised:
+            mws_step(QueueState.empty(n_relays), channel, params)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n_relays", INLINED_RELAYS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_relay_target_equals_old_loop(n_relays, data):
+    queues, _ = data.draw(rows(n_relays))
+    assert relay_target(queues) == legacy.relay_target(queues)
+
+
+@pytest.mark.parametrize("n_relays", INLINED_RELAYS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_apply_slot_equals_old_queue_update(n_relays, data):
+    queues, channel = data.draw(rows(n_relays))
+    transmission = data.draw(st.sampled_from((IDLE, *range(n_relays + 1))))
+    arrivals = tuple(data.draw(st.integers(0, 3))
+                     for _ in range(n_relays + 1))
+    try:
+        expected = legacy.apply_slot(queues, transmission, channel, arrivals)
+    except ValueError as error:  # a relay scheduled with its channel OFF
+        with pytest.raises(ValueError) as raised:
+            apply_slot(queues, transmission, channel, arrivals)
+        assert str(raised.value) == str(error)
+        return
+    out, tag = apply_slot(queues, transmission, channel, arrivals)
+    assert type(out) is type(expected[0]) is type(queues)
+    assert (out, tag) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,19 @@ of:
 
 Each figure is given as the median of its REPEATS turns and their first
 and third quartiles ({"median": m, "quartiles": [q1, q3]}), so two columns
-can be compared against their spread. Right before and right after
-each timed call the calibration loop of the benchmark's
-perfbench/hostspeed.py runs CAL_LOOPS times; the mean of the two speeds,
-relative to that module's nominal speed, is the host's speed for the call,
-and the call's time times that speed is its time on a host at nominal
-speed. Every timed figure is reported both raw and at
-nominal speed (the `*_at_nominal_speed` entries), and the host speeds seen
-are summarised under "host_speed". The raw figures of two runs of this
+can be compared against their spread. Seven turns do not bound the drift
+between runs, though: in two runs on unchanged `run_once` code, 2 and 1
+of the 12 `run_once` rows at nominal speed had disjoint quartiles between
+the two columns, with medians up to 5.1% apart. Disjoint quartiles are
+therefore weak evidence for a shift under about 5%.
+
+Right before and right after each timed call the calibration loop of the
+benchmark's perfbench/hostspeed.py runs CAL_LOOPS times; the mean of the
+two speeds, relative to that module's nominal speed, is the host's speed
+for the call, and the call's time times that speed is its time on a host
+at nominal speed. Every timed figure is reported both raw and at nominal
+speed (the `*_at_nominal_speed` entries), and the host speeds seen are
+summarised under "host_speed". The raw figures of two runs of this
 script move with the host's speed between them; the nominal ones take that
 speed out, so they are the ones to compare across files written at
 different times.
