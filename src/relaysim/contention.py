@@ -80,21 +80,15 @@ def blind_decision(params: NetworkParams, rng):
     return _decide(params, params.all_on, rng)
 
 
-def backoff_draws(u, values):
-    """elect's backoff draw, min(int(u * values), values - 1), of every
-    uniform in an array, as int64."""
-    draws = (u * values).astype(np.int64)
-    return np.minimum(draws, values - 1, out=draws)
-
-
 def elect_rows(u, values, contends):
     """elect over every row of an array of uniforms (last axis: nodes).
 
     Returns the winner per row as an int64 array, -1 for Idle. `contends`,
     a boolean array that broadcasts to u's shape, names the contenders.
     """
-    draws = np.where(contends, backoff_draws(u, values),
-                     values)  # above every real draw
+    draws = (u * values).astype(np.int64)  # elect's backoff draws
+    np.minimum(draws, values - 1, out=draws)
+    draws = np.where(contends, draws, values)  # above every real draw
     unique = (draws == draws.min(axis=-1, keepdims=True)).sum(axis=-1) == 1
     return np.where(unique, draws.argmin(axis=-1), -1)
 

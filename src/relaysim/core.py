@@ -51,7 +51,9 @@ class NetworkParams:
     monotone weight function changes. activation_gain scales the action
     backlog fed to the logistic activation probability of the CSMA
     schedulers. contention_window is the number W of extra backoff mini-slots
-    after the N+1 channel-broadcast mini-slots.
+    after the N+1 channel-broadcast mini-slots; a backoff is drawn from one
+    uniform double, which takes every one of W + 1 values only while
+    W + 1 <= 2**53, so W is at most 2**53 - 1.
     seed is the non-negative base seed that run_seeds counts up from.
     The four counts (n_relays, a_max, contention_window, seed) must be
     integers.
@@ -91,6 +93,10 @@ class NetworkParams:
             raise ValueError("activation_gain must be positive and finite")
         if self.contention_window < 1:
             raise ValueError("contention window must be >= 1")
+        if self.contention_window + 1 > 2**53:
+            raise ValueError(f"contention window must be <= 2**53 - 1, so "
+                             f"that a double can draw each of its W + 1 "
+                             f"backoff values, got {self.contention_window}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -12,11 +12,13 @@ the scheduling rules and core.apply_slot index as they index a QueueState;
 each slot calls its scheduler's step, and the total backlog is the row's
 sum. sweep_grid cuts all (grid point x seed) runs once into contiguous
 parts of at most MAX_BATCH_LANES lanes, and at least one per worker. Each
-part is one lanes.run_lanes call, which advances its lanes in numpy
-lockstep and gives each the RunResult run_once gives. A part returns only
-each run's mean backlog, final backlog and verdict, and the calling process
-builds every row, so sweep rows do not depend on the worker count and no
-pool worker computes an interval or imports scipy.
+part is one lanes.run_lanes call, which gives each lane the RunResult
+run_once gives: it advances mws and rqcsma lanes in numpy lockstep and
+runs the channel-blind baselines' lanes (qcsma, ub) through run_once, one
+at a time. A part returns only each run's mean backlog, final backlog and
+verdict, and the calling process builds every row, so sweep rows do not
+depend on the worker count and no pool worker computes an interval or
+imports scipy.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ MIN_CLASSIFIED_SAMPLES = 100
 # Slots per block of pre-drawn channels, arrivals and elections; bounds a
 # run's draw buffers at any horizon.
 BLOCK_SLOTS = 1024
-# Most lanes per run_lanes call of a sweep; bounds a call's arrays
-# (about 0.1 MB per lane at horizon 1e4) at some cost in throughput: the
-# cost per lane-slot still falls as lanes are added up to the cap (ROADMAP,
+# Most lanes per run_lanes call of a sweep; bounds a call's arrays (about
+# 0.2 MB per lane at horizon 1e4: a tracemalloc peak of 5.6 MB at 24 lanes
+# and 41.5 MB at 217, rqcsma at N=1) at some cost in throughput: the cost
+# per lane-slot still falls as lanes are added up to the cap (ROADMAP,
 # Baseline, lane engine).
 MAX_BATCH_LANES = 256
 CI_LEVEL = 0.90  # level of aggregate_ci's two-sided Student-t interval

@@ -16,12 +16,12 @@ lane's queues. sweep_grid
 runs its lanes here; run, boundary-oracle and run_seeds stay on run_once,
 which is faster for the few lanes they run at a time.
 
-One rule set serves all four schedulers, as in scheduling: every scheduling
-rule reads a per-block `rule` channel array, the realized channels for mws
-and rqcsma and all-ON for the channel-blind qcsma and ub. Under all-ON,
-qcsma's held schedule is rqcsma's memory cell of the all-ON realization.
-The realized channels stay in the data plane: whether the source forwards,
-and whether a blind schedule holds an OFF relay and wastes the slot.
+The engine runs the two schedulers the paper compares, mws (the centralized
+optimum) and rqcsma (the distributed scheme), under the realized channels.
+run_lanes runs every lane of the channel-blind baselines qcsma and ub
+through run_once, where their rules already live (the all-ON rule channel,
+ub's backoff election over the backlogged nodes and the OFF-relay waste of
+a blind schedule), as it does above MAX_TABLE_RELAYS relays.
 
 Per-lane state (the queues and action backlogs have one row per queue or
 node and one column per lane, so that each row's lanes are contiguous):
@@ -36,10 +36,10 @@ node and one column per lane, so that each row's lanes are contiguous):
 - channels, arrivals and elections: drawn per distinct seed in blocks of
   BLOCK_SLOTS slots (sample_channel_matrix, the arrival and contention
   streams' uniforms) and stacked with a seed axis. What follows from them
-  alone (contenders, elections, backoff draws, memory-cell indices,
-  sampler options) is computed per seed, then expanded to a lane axis by one
-  gather; a lane's arrivals compare its seed's uniforms with the lane's own
-  per-node thresholds in one array operation.
+  alone (contenders, elections, memory-cell indices, sampler options) is
+  computed per seed, then expanded to a lane axis by one gather; a lane's
+  arrivals compare its seed's uniforms with the lane's own per-node
+  thresholds in one array operation.
 - scheduler stream: a buffer of each lane's next values and a cursor into
   it; a lane advances its cursor only where run_once would draw.
 - activation probabilities: a table of activation_probability(gain * b)
@@ -47,10 +47,8 @@ node and one column per lane, so that each row's lanes are contiguous):
   run_once computes.
 - channel realizations: dense tables of 2^(N+1) cells indexed by the
   channel bitmask mark the ones each seed has seen (one row per seed) and,
-  for the CSMA schedulers, hold each lane's carrier-sense memory of each
-  rule channel. Above
-  MAX_TABLE_RELAYS relays that table is too large, and run_lanes runs every
-  lane through run_once.
+  for rqcsma, hold each lane's carrier-sense memory of each realization.
+  Above MAX_TABLE_RELAYS relays that table is too large.
 - trajectory: one int64 array of shape (samples, lanes); each lane's
   column is classified as it is (harness.run_result).
 
@@ -70,7 +68,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .contention import backoff_draws, contenders, elect_rows
+from .contention import contenders, elect_rows
 from .core import integer
 from .harness import (BLOCK_SLOTS, ExperimentConfig, run_once, run_result,
                       sample_slots)
@@ -79,6 +77,8 @@ from .scheduling import activation_probability
 
 # Largest relay count with a dense per-realization table (2^(N+1) cells).
 MAX_TABLE_RELAYS = 10
+# The schedulers the engine runs; run_lanes runs the others through run_once.
+LANE_SCHEDULERS = ("mws", "rqcsma")
 # Scheduler-stream values a lane can take per slot: a sampler-mode decision
 # uniform plus an activation coin.
 _COIN_BUFFER = 2 * BLOCK_SLOTS + 1
@@ -105,7 +105,8 @@ def run_lanes(config: ExperimentConfig, lanes):
     """
     lanes = [(tuple(lam), integer("seed", seed)) for lam, seed in lanes]
     params = config.params
-    if params.n_relays > MAX_TABLE_RELAYS:
+    if (config.scheduler not in LANE_SCHEDULERS
+            or params.n_relays > MAX_TABLE_RELAYS):
         for lam, seed in lanes:
             yield run_once(replace(config, trace=False,
                                    params=replace(params, lam=lam)), seed)
@@ -132,11 +133,9 @@ def _simulate(config, lane_params, seeds, slots):
     channel realizations.
     """
     params = config.params
-    scheduler = config.scheduler
     horizon = config.horizon
-    csma = scheduler in ("rqcsma", "qcsma")
-    sampler = csma and config.decision_mode == "sampler"
-    blind = scheduler in ("qcsma", "ub")
+    rqcsma = config.scheduler == "rqcsma"  # else mws
+    sampler = rqcsma and config.decision_mode == "sampler"
     window = params.contention_window
     gain = params.activation_gain
     n_lanes = len(seeds)
@@ -195,7 +194,7 @@ def _simulate(config, lane_params, seeds, slots):
     ab = np.zeros((n + 1, n_lanes), dtype=np.int64)
     abflat = ab.reshape(-1)
     ab0, ab_nodes, ab_relay = ab[1], ab[1:], ab[2:]
-    idle, source = index(-1), index(0)
+    idle = index(-1)
     # Each slot's queue moves by flat index: [a served packet leaves,
     # a forwarded one arrives], the sink where none does.
     moves = np.empty((BLOCK_SLOTS, 2, n_lanes), dtype=np.int64)
@@ -204,7 +203,7 @@ def _simulate(config, lane_params, seeds, slots):
     cells = 1 << n
     seen = np.zeros((len(streams), cells), dtype=bool)
     weights = 1 << np.arange(n, dtype=np.int64)
-    if csma:
+    if rqcsma:
         # The scheduler stream is each lane's own: how many values it
         # takes depends on the lane's queues.
         coins = [RngStream(seed, "scheduler") for seed in seeds]
@@ -215,13 +214,9 @@ def _simulate(config, lane_params, seeds, slots):
         # Flat index of each lane's next scheduler-stream value.
         at = b_row + _COIN_BUFFER
         table = activation_table(gain, 1)
-    if scheduler == "mws":
+    else:
         masked = np.zeros_like(ab)  # Idle's row stays 0
         masked_nodes = masked[1:]
-    if scheduler == "ub":
-        no_draw = np.full((n, n_lanes), window, dtype=np.int64)
-        node_zeros = np.zeros((n, n_lanes), dtype=np.int64)
-        last = np.full(n_lanes, n - 1)
 
     sample_t = np.array(slots)
     traj = np.empty((len(sample_t), n_lanes), dtype=np.int64)
@@ -242,45 +237,36 @@ def _simulate(config, lane_params, seeds, slots):
             axis=2), 2) < thresholds  # (slots, (N+1) * a_max, lanes)
         arrivals = arrived.reshape(n_slots, n, m, n_lanes).sum(
             axis=2, dtype=np.int64)
-        seen[seed_rows, channels @ weights] = True
-        rule = np.ones_like(channels) if blind else channels
-        if scheduler == "mws":
-            mws_mask = per_lane(contenders(rule).transpose(0, 2, 1).astype(
-                np.int64), 2)
-        elif csma and not sampler:
+        realization = channels @ weights  # (slots, seeds)
+        seen[seed_rows, realization] = True
+        if not rqcsma:
+            mws_mask = per_lane(contenders(channels).transpose(
+                0, 2, 1).astype(np.int64), 2)
+        elif not sampler:
             decision_at = index(per_lane(elect_rows(np.stack(
                 [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=1), window + 1, contenders(rule)), 1))
-        elif scheduler == "ub":
-            draws = per_lane(backoff_draws(np.stack(
-                [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=2), window), 2)  # (slots, nodes, lanes)
-        rule_c0_off = per_lane((rule[:, :, 0] == 0).astype(np.int64), 1)
+                axis=1), window + 1, contenders(channels)), 1))
+        c0_off = per_lane((channels[:, :, 0] == 0).astype(np.int64), 1)
         # The source forwards what it serves from Q_0 (flat index `lane`)
-        # only when its realized channel is OFF.
-        forward_from = np.where(per_lane(channels[:, :, 0], 1) == 0, lane, -1)
+        # only when its channel is OFF.
+        forward_from = np.where(c0_off == 1, lane, -1)
         moves[:n_slots] = sink_at
-        if csma:
-            cell_at = per_lane(rule @ weights, 1) + lane * cells
+        if rqcsma:
+            cell_at = per_lane(realization, 1) + lane * cells
         if sampler:
-            # Options of sampled_decision: Idle, node 0, then the relays ON
-            # under the rule channel, in index order; option k of (slot,
-            # lane) row r at options[r * (n + 1) + k].
-            on = rule[:, :, 1:] != 0
-            options = index(per_lane(_schedule_rows(
-                np.sort(np.where(on, np.arange(1, n), n), axis=-1)), 1),
-                lane[:, None]).reshape(-1)
+            # Options of sampled_decision: Idle, node 0, then the ON relays,
+            # in index order; option k of (slot, lane) row r at
+            # options[r * (n + 1) + k].
+            on = channels[:, :, 1:] != 0
+            relays_on = np.sort(np.where(on, np.arange(1, n), n), axis=-1)
+            head = np.broadcast_to([-1, 0], relays_on.shape[:-1] + (2,))
+            options = index(per_lane(np.concatenate(
+                (head, relays_on), axis=-1), 1), lane[:, None]).reshape(-1)
             row = (np.arange(n_slots * n_lanes) * (n + 1)).reshape(
                 n_slots, n_lanes)
             last_option = per_lane(on.sum(axis=-1) + 1, 1)
             option_scale = (last_option + 1).astype(float)
-        if blind:
-            # The schedule the data slot serves, by the held one's index: a
-            # blind schedule holding an OFF relay wastes the slot.
-            served_at = index(per_lane(_schedule_rows(
-                np.where(channels[:, :, 1:] != 0, np.arange(1, n), -1)
-            ).transpose(0, 2, 1), 2)).reshape(n_slots, -1)
-        if csma:
+        if rqcsma:
             _refill(buf, at - b_row, coins)
             at = b_row.copy()
             # An action backlog is at most the total backlog, which grows
@@ -296,31 +282,21 @@ def _simulate(config, lane_params, seeds, slots):
                 # lowest index on ties (relay_target).
                 target = relayed_at[q_relayed.argmin(axis=0) + relay_row]
             # Action backlogs: a relay serves the larger of its queues; the
-            # source its own queue when its rule channel is ON, else the
+            # source its own queue when its channel is ON, else the
             # differential backlog max(Q_0 - min Q_0i, 0).
             maximum(q_relay, q_relayed, out=ab_relay)
             q_target = qflat[target]
-            multiply(q_target, rule_c0_off[t], out=q_target)
+            multiply(q_target, c0_off[t], out=q_target)
             subtract(q0, q_target, out=q_target)
             maximum(q_target, zeros, out=ab0)
 
-            if scheduler == "mws":
-                # The first largest masked backlog; Idle (row 0) when every
-                # one is 0.
+            if not rqcsma:
+                # mws: the first largest masked backlog; Idle (row 0) when
+                # every one is 0.
                 multiply(ab_nodes, mws_mask[t], out=masked_nodes)
                 x = masked.argmax(axis=0)
                 multiply(x, width, out=x)
                 add(x, idle, out=x)
-            elif scheduler == "ub":
-                # elect_rows over the backlogged nodes: the unique minimum
-                # draw wins, where the first and last minimum coincide.
-                draw = draws[t]
-                copyto(draw, no_draw, where=ab_nodes == node_zeros)
-                first = draw.argmin(axis=0)
-                collided = first + draw[::-1].argmin(axis=0) != last
-                x = multiply(first, width, out=first)
-                add(x, source, out=x)
-                copyto(x, idle, where=collided)
             else:
                 if sampler:
                     u = bflat[at]
@@ -332,7 +308,7 @@ def _simulate(config, lane_params, seeds, slots):
                     d = options[k]
                 else:
                     d = decision_at[t]
-                # _csma_step on the rule channel's memory cell: an Idle
+                # _csma_step on the realization's memory cell: an Idle
                 # decision or a different held node keeps the held
                 # schedule; else the decision node draws a coin when its
                 # action backlog (0 for Idle) is positive.
@@ -347,8 +323,6 @@ def _simulate(config, lane_params, seeds, slots):
                 copyto(x, idle, where=need)
                 copyto(x, d, where=win)
                 memory[cell] = x
-            if blind:
-                x = served_at[t][x]
 
             # apply_slot: the source serves Q_0 (relaying to the relay with
             # the smallest Q_0i when its channel is OFF); a relay serves the
@@ -381,18 +355,12 @@ def _simulate(config, lane_params, seeds, slots):
         traj[filled:filled + len(in_block)] = block[in_block - start]
         filled += len(in_block)
         # This block's arrays go before the next block draws its own.
-        channels = rule = arrived = arrivals = None
-        rule_c0_off = forward_from = None
-        cell_at = mws_mask = decision_at = draws = served_at = None
+        channels = realization = arrived = arrivals = None
+        c0_off = forward_from = None
+        cell_at = mws_mask = decision_at = None
         on = options = row = option_scale = last_option = None
 
     return traj, acc, per_lane(seen.sum(axis=1), 0).tolist()
-
-
-def _schedule_rows(relay_entries):
-    """Schedules [Idle, node 0, relay entries...] along the last axis."""
-    head = np.broadcast_to([-1, 0], relay_entries.shape[:-1] + (2,))
-    return np.concatenate((head, relay_entries), axis=-1)
 
 
 def _refill(buf, used, coins):

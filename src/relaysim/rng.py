@@ -19,11 +19,12 @@ a run is a pure function of (seed, params). Per slot of a run with N relays
 The first three counts are fixed per slot, so run_once draws channels,
 arrivals and the rqcsma and qcsma contention elections in blocks of slots
 (sample_channel_matrix, sample_arrival_matrix, contention.elect_block), and
-each block is bit-identical to the same slots drawn one at a time. In
-run_once the ub election, whose contenders are the backlogged nodes, and
-the scheduler stream depend on the queues and are drawn slot by slot; the
-lane engine (lanes.run_lanes) draws the ub uniforms in blocks as well and
-reads each lane's scheduler stream from a buffer, in the same order.
+each block is bit-identical to the same slots drawn one at a time. The
+ub election, whose contenders are the backlogged nodes, and the scheduler
+stream depend on the queues, and run_once draws them slot by slot. The
+lane engine (lanes.run_lanes) runs mws and rqcsma, whose contention draws
+are blocks like run_once's, and reads each lane's scheduler stream from a
+buffer, in the same order; it runs qcsma and ub lanes through run_once.
 
 Because the streams are positional and those three counts fixed, runs
 with the same seed, relay count and a_max draw the same channel, arrival

@@ -546,6 +546,28 @@ def test_config_file_lambda_must_match_rho_flag(tmp_path):
         "relaysim run: rho and lam must have length N+1 = 3, got 3 and 2")
 
 
+def test_undrawable_window_in_config_file_rejected(tmp_path):
+    """A contention window whose W + 1 backoff values a double cannot draw
+    exits 1 with one line and writes nothing (it ran on wrong elections,
+    or ended in a traceback)."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"contention_window = {2**63 - 1}\n")
+    out = tmp_path / "out.json"
+    src = Path(relaysim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim.cli", "run", "-c", str(cfg),
+         "--horizon", "50", "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "relaysim run: contention window must be <= 2**53 - 1, so that a "
+        "double can draw each of its W + 1 backoff values, got "
+        f"{2**63 - 1}"]
+    assert not out.exists()
+
+
 def test_missing_config_file_rejected(tmp_path):
     message = exit_message(["run", "-c", str(tmp_path / "absent.cfg")])
     assert message.startswith("relaysim run: ")

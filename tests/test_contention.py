@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from relaysim import (IDLE, NetworkParams, QueueState, decision_distribution,
                       feasible_schedules, run_contention)
-from relaysim.contention import sampled_decision
+from relaysim.contention import contenders, elect, elect_rows, sampled_decision
 from relaysim.core import transmitters
 from relaysim.rng import RngStream
 
@@ -137,3 +138,18 @@ class TestSampledDecision:
         rng = RngStream(9, "scheduler")
         seen = {sampled_decision(p, (1, 0), rng) for _ in range(500)}
         assert seen == {IDLE, 0}
+
+
+@pytest.mark.parametrize("values", [2, 33, 2**53])
+def test_elect_rows_equals_elect_up_to_the_largest_window(values):
+    """The int64 array election equals the scalar one row by row, up to
+    W + 1 = 2**53 backoff values (NetworkParams' bound), ties included:
+    the third column repeats the first."""
+    u = RngStream(5, "contention").uniform_matrix(500, 4)
+    u[:, 2] = u[:, 0]
+    u[:7, 1] = 0.0
+    channels = RngStream(6, "channels").uniform_matrix(500, 4) < 0.5
+    winners = elect_rows(u, values, contenders(channels)).tolist()
+    assert winners == [
+        -1 if (w := elect(row, transmitters(c), values)) is IDLE else w
+        for row, c in zip(u.tolist(), channels.astype(int).tolist())]

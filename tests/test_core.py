@@ -332,6 +332,18 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=message):
             NetworkParams(**{**args, **kw})
 
+    @pytest.mark.parametrize("window", [2**53, 2**63 - 1, 2**63])
+    def test_window_a_double_cannot_draw_rejected(self, window):
+        """Above W + 1 = 2**53 a uniform double cannot take every backoff
+        value, and above 2**63 - 2 the int64 election overflows."""
+        with pytest.raises(ValueError, match=r"<= 2\*\*53 - 1, .*got "
+                           + str(window)):
+            params_for((0.5, 0.5), contention_window=window)
+
+    def test_largest_drawable_window_accepted(self):
+        p = params_for((0.5, 0.5), contention_window=2**53 - 1)
+        assert p.contention_window == 2**53 - 1
+
     def test_integer_like_counts_become_ints(self):
         """Whatever operator.index accepts is a count, held as an int."""
         p = NetworkParams(n_relays=np.int64(1), rho=(0.5, 0.5),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from relaysim import ExperimentConfig, NetworkParams, run_once, run_seeds
-from relaysim import harness
+from relaysim import harness, lanes as lane_engine
 from relaysim.harness import (BLOCK_SLOTS, aggregate_ci, box_grid,
                               stable_fraction, sweep_grid)
 from relaysim.lanes import MAX_TABLE_RELAYS, activation_table, run_lanes
@@ -64,6 +64,46 @@ def test_lanes_equal_run_once(scheduler, mode, n_relays, a_max):
         lanes = [(lam, 100 * n_relays + 7 * k + window)
                  for k, lam in enumerate(lane_rates(n_relays, a_max))]
         assert_lanes_equal_run_once(config, lanes)
+
+
+@pytest.mark.parametrize("n_relays", [1, 3])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_blind_baselines_run_through_run_once(monkeypatch, scheduler, mode,
+                                              n_relays):
+    """qcsma and ub lanes never reach the lane engine's slot loop; mws and
+    rqcsma lanes do. Either way every lane equals run_once."""
+    simulate = lane_engine._simulate
+    calls = []
+
+    def spy(*args):
+        if scheduler not in ("mws", "rqcsma"):
+            raise AssertionError(f"{scheduler} reached lanes._simulate")
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(lane_engine, "_simulate", spy)
+    n = n_relays + 1
+    params = NetworkParams(n_relays=n_relays, rho=RHO_CYCLE[:n],
+                           lam=(0.0,) * n)
+    config = ExperimentConfig(params=params, scheduler=scheduler,
+                              horizon=BLOCK_SLOTS + 3, n_seeds=1,
+                              decision_mode=mode)
+    lanes = [(lam, 9 + k % 2) for k, lam in enumerate(lane_rates(n_relays, 1))]
+    assert_lanes_equal_run_once(config, lanes)
+    assert len(calls) == (scheduler in ("mws", "rqcsma"))
+
+
+def test_largest_drawable_window():
+    """At W = 2**53 - 1, the largest window NetworkParams accepts, rqcsma's
+    contention-mode lanes still equal run_once."""
+    params = NetworkParams(n_relays=3, rho=RHO_CYCLE[:4], lam=(0.0,) * 4,
+                           contention_window=2**53 - 1)
+    config = ExperimentConfig(params=params, scheduler="rqcsma",
+                              horizon=BLOCK_SLOTS + 3, n_seeds=1,
+                              decision_mode="contention")
+    assert_lanes_equal_run_once(
+        config, [(lam, 3) for lam in lane_rates(3, 1)])
 
 
 @pytest.mark.parametrize("scheduler,mode", [
