@@ -34,12 +34,18 @@ def elect(row, contenders, values):
     """One backoff election over a row of uniforms.
 
     Contender i draws the backoff min(int(row[i] * values), values - 1), one
-    of `values` equally likely integers. The unique minimum wins; a tie at
-    the minimum, or no contender at all, gives Idle.
+    of `values` equally likely integers; the clamp is a comparison, not a
+    min() call per contender. It never binds for stream uniforms, which are
+    multiples of 2**-53 below 1, while values <= 2**53 (the contention
+    window's bound), and tests/test_contention.py pins it to elect_rows at
+    the largest of them. The unique minimum wins; a tie at the minimum, or
+    no contender at all, gives Idle.
     """
-    winner, best, collided = IDLE, values, False
+    winner, best, collided, top = IDLE, values, False, values - 1
     for i in contenders:
-        draw = min(int(row[i] * values), values - 1)
+        draw = int(row[i] * values)
+        if draw > top:
+            draw = top
         if draw < best:
             winner, best, collided = i, draw, False
         elif draw == best:

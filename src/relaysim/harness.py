@@ -12,13 +12,13 @@ the scheduling rules and core.apply_slot index as they index a QueueState;
 each slot calls its scheduler's step, and the total backlog is the row's
 sum. sweep_grid cuts all (grid point x seed) runs once into contiguous
 parts of at most MAX_BATCH_LANES lanes, and at least one per worker. Each
-part is one lanes.run_lanes call, which gives each lane the RunResult
-run_once gives: it advances mws and rqcsma lanes in numpy lockstep and
-runs the channel-blind baselines' lanes (qcsma, ub) through run_once, one
-at a time. A part returns only each run's mean backlog, final backlog and
-verdict, and the calling process builds every row, so sweep rows do not
-depend on the worker count and no pool worker computes an interval or
-imports scipy.
+part is one lanes.lane_outcomes call, which gives each lane the mean
+backlog, final backlog and verdict of the RunResult run_once gives: it
+advances mws and rqcsma lanes in numpy lockstep, reading those three from
+the lane arrays, and runs the channel-blind baselines' lanes (qcsma, ub)
+through run_once, one at a time. The calling process builds every row
+from them, so sweep rows do not depend on the worker count and no pool
+worker computes an interval or imports scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import chain, repeat
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,10 +49,10 @@ MIN_CLASSIFIED_SAMPLES = 100
 # Slots per block of pre-drawn channels, arrivals and elections; bounds a
 # run's draw buffers at any horizon.
 BLOCK_SLOTS = 1024
-# Most lanes per run_lanes call of a sweep; bounds a call's arrays (about
-# 0.2 MB per lane at horizon 1e4: a tracemalloc peak of 5.6 MB at 24 lanes
-# and 41.5 MB at 217, rqcsma at N=1) at some cost in throughput: the cost
-# per lane-slot still falls as lanes are added up to the cap (ROADMAP,
+# Most lanes per lanes.lane_outcomes call of a sweep; bounds a call's arrays
+# (about 0.2 MB per lane at horizon 1e4: a tracemalloc peak of 5.6 MB at 24
+# lanes and 41.5 MB at 217, rqcsma at N=1) at some cost in throughput: the
+# cost per lane-slot still falls as lanes are added up to the cap (ROADMAP,
 # Baseline, lane engine).
 MAX_BATCH_LANES = 256
 CI_LEVEL = 0.90  # level of aggregate_ci's two-sided Student-t interval
@@ -164,9 +164,7 @@ def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
     samples is left unclassified. `totals` is a list of ints or, from the
     lane engine, an int64 array, which is classified as it is; the result
     holds it as a tuple of ints either way."""
-    stable, slope = None, None
-    if len(slots) >= MIN_CLASSIFIED_SAMPLES:
-        stable, slope = classify_stability(slots, totals, sum(lam), horizon)
+    stable, slope = classify_run(slots, totals, lam, horizon)
     if isinstance(totals, np.ndarray):
         totals = totals.tolist()
     return RunResult(
@@ -181,6 +179,15 @@ def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
         distinct_channels=distinct_channels,
         records=records,
     )
+
+
+def classify_run(slots, totals, lam, horizon):
+    """classify_stability's (stable, slope) of a run at rates `lam`, or
+    (None, None) for a trajectory of fewer than MIN_CLASSIFIED_SAMPLES
+    samples."""
+    if len(slots) < MIN_CLASSIFIED_SAMPLES:
+        return None, None
+    return classify_stability(slots, totals, sum(lam), horizon)
 
 
 def _int_rows(block):
@@ -355,35 +362,21 @@ def _even_split(items, n_parts):
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-class _LaneOutcome(NamedTuple):
-    """What a sweep row reads of one lane's RunResult."""
-    q_avg: float
-    final_total: int
-    stable: Optional[bool]
-
-
-def _run_part(config, lanes):
-    """The _LaneOutcomes of one run_lanes call over (lam, seed) `lanes`, in
-    lane order."""
-    from .lanes import run_lanes  # lanes builds on this module
-
-    return [_LaneOutcome(r.q_avg, r.final_total, r.stable)
-            for r in run_lanes(config, lanes)]
-
-
 def sweep_grid(config: ExperimentConfig, grid, workers=1):
     """Independent seeded runs per grid point (a list of full rate vectors).
 
     Every (point, seed) run of the valid points is one lane, listed in grid
     and seed order. The lanes are cut once into contiguous parts, at least
     `workers` and at most MAX_BATCH_LANES lanes each but never more parts
-    than lanes, and each part is one run_lanes call, in a pool of up to
-    `workers` processes when there are two or more. The parts return only what a row
-    reads of each run, and the rows are built here in grid order, so each
-    run equals run_once and the rows are identical for every worker count.
-    A point that fails validation is reported with an "error" field instead
-    of aborting the sweep.
+    than lanes, and each part is one lanes.lane_outcomes call, in a pool of
+    up to `workers` processes when there are two or more. The parts return
+    only what a row reads of each run, and the rows are built here in grid
+    order, so each run equals run_once and the rows are identical for every
+    worker count. A point that fails validation is reported with an
+    "error" field instead of aborting the sweep.
     """
+    from .lanes import lane_outcomes  # lanes builds on this module
+
     seeds = [config.params.seed + k for k in range(config.n_seeds)]
     errors = {}
     lanes = []
@@ -403,9 +396,9 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     if n_procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
-            parts = list(pool.map(_run_part, repeat(config), parts))
+            parts = list(pool.map(lane_outcomes, repeat(config), parts))
     else:
-        parts = map(_run_part, repeat(config), parts)
+        parts = map(lane_outcomes, repeat(config), parts)
     outcomes = chain.from_iterable(parts)
     return [{"index": idx, "lam": tuple(lam), "error": errors[idx]}
             if idx in errors else

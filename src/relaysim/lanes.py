@@ -12,9 +12,11 @@ rng), so every lane with one seed would draw the same values from them:
 each distinct seed draws them once per block, and its lanes share them (a
 sweep part of L lanes over n_seeds seeds has about L / n_seeds lanes per
 seed). Each lane keeps its own scheduler stream, whose use depends on the
-lane's queues. sweep_grid
-runs its lanes here; run, boundary-oracle and run_seeds stay on run_once,
-which is faster for the few lanes they run at a time.
+lane's queues. sweep_grid runs its lanes here, through lane_outcomes,
+which reads each lane's mean backlog, final backlog and verdict from the
+engine's arrays without building a RunResult; run, boundary-oracle and
+run_seeds stay on run_once, which is faster for the few lanes they run at
+a time.
 
 The engine runs the two schedulers the paper compares, mws (the centralized
 optimum) and rqcsma (the distributed scheme), under the realized channels.
@@ -65,13 +67,14 @@ the loop.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .contention import contenders, elect_rows
 from .core import integer
-from .harness import (BLOCK_SLOTS, ExperimentConfig, run_once, run_result,
-                      sample_slots)
+from .harness import (BLOCK_SLOTS, ExperimentConfig, classify_run, run_once,
+                      run_result, sample_slots)
 from .rng import RngStream, RunStreams, sample_channel_matrix
 from .scheduling import activation_probability
 
@@ -103,20 +106,16 @@ def run_lanes(config: ExperimentConfig, lanes):
     yielded; results are built one at a time, so a caller that aggregates
     and drops them holds one lane's trajectory tuple at a time.
     """
-    lanes = [(tuple(lam), integer("seed", seed)) for lam, seed in lanes]
-    params = config.params
-    if (config.scheduler not in LANE_SCHEDULERS
-            or params.n_relays > MAX_TABLE_RELAYS):
+    lanes = _lane_list(lanes)
+    if not _on_engine(config):
         for lam, seed in lanes:
             yield run_once(replace(config, trace=False,
-                                   params=replace(params, lam=lam)), seed)
+                                   params=replace(config.params, lam=lam)),
+                           seed)
         return
     if not lanes:
         return
-    lane_params = [replace(params, lam=lam) for lam, _ in lanes]
-    slots = sample_slots(config.horizon)
-    traj, acc, distinct = _simulate(config, lane_params,
-                                    [seed for _, seed in lanes], slots)
+    lane_params, slots, traj, acc, distinct = _simulate(config, lanes)
     rqcsma = config.scheduler == "rqcsma"
     for k, (p, (_, seed)) in enumerate(zip(lane_params, lanes)):
         yield run_result(seed, p.lam, config.horizon, slots,
@@ -125,14 +124,55 @@ def run_lanes(config: ExperimentConfig, lanes):
                          distinct[k] if rqcsma else 0, distinct[k], [])
 
 
-def _simulate(config, lane_params, seeds, slots):
-    """Advance every lane through the horizon.
+class LaneOutcome(NamedTuple):
+    """What a sweep row reads of one lane's RunResult."""
+    q_avg: float
+    final_total: int
+    stable: Optional[bool]
 
-    Returns the (samples, lanes) trajectory at the sampled `slots`, each
-    lane's sum of per-slot total backlogs, and each lane's count of distinct
-    channel realizations.
+
+def lane_outcomes(config: ExperimentConfig, lanes) -> list:
+    """The LaneOutcome of each lane's RunResult from run_lanes(config,
+    lanes), in lane order; one sweep part (harness.sweep_grid).
+
+    The lane engine's lanes are read straight from its arrays, as
+    run_result reads them, so no lane's trajectory is turned into a tuple
+    of ints; the other lanes come from run_lanes.
+    """
+    lanes = _lane_list(lanes)
+    if not lanes or not _on_engine(config):
+        return [LaneOutcome(r.q_avg, r.final_total, r.stable)
+                for r in run_lanes(config, lanes)]
+    lane_params, slots, traj, acc, _ = _simulate(config, lanes)
+    horizon = config.horizon
+    return [LaneOutcome(int(acc[k]) / horizon, int(traj[-1, k]),
+                        classify_run(slots, traj[:, k], p.lam, horizon)[0])
+            for k, p in enumerate(lane_params)]
+
+
+def _lane_list(lanes):
+    """`lanes` as a list of (rate tuple, integer seed) pairs."""
+    return [(tuple(lam), integer("seed", seed)) for lam, seed in lanes]
+
+
+def _on_engine(config):
+    """Whether the lane engine runs `config`'s lanes (else run_once)."""
+    return (config.scheduler in LANE_SCHEDULERS
+            and config.params.n_relays <= MAX_TABLE_RELAYS)
+
+
+def _simulate(config, lanes):
+    """Advance every (lam, seed) lane through the horizon.
+
+    Returns each lane's NetworkParams, the sampled slots
+    (sample_slots(horizon)), the (samples, lanes) trajectory at those slots,
+    each lane's sum of per-slot total backlogs, and each lane's count of
+    distinct channel realizations.
     """
     params = config.params
+    lane_params = [replace(params, lam=lam) for lam, _ in lanes]
+    seeds = [seed for _, seed in lanes]
+    slots = sample_slots(config.horizon)
     horizon = config.horizon
     rqcsma = config.scheduler == "rqcsma"  # else mws
     sampler = rqcsma and config.decision_mode == "sampler"
@@ -360,7 +400,8 @@ def _simulate(config, lane_params, seeds, slots):
         cell_at = mws_mask = decision_at = None
         on = options = row = option_scale = last_option = None
 
-    return traj, acc, per_lane(seen.sum(axis=1), 0).tolist()
+    return (lane_params, slots, traj, acc,
+            per_lane(seen.sum(axis=1), 0).tolist())
 
 
 def _refill(buf, used, coins):

@@ -25,13 +25,22 @@ Q_01..Q_0N]: a QueueState, or the list of ints run_once keeps, so the rule
 a test calls is the rule a run executes.
 
 action_backlog and differential_backlog define the action-backlog rule,
-and the CSMA steps call them. mws_step and ub_step, which read every
-node's backlog each slot, evaluate the rule inline instead, with no helper
-call per node: mws_step all of it, ub_step its "backlog > 0" test under an
-all-ON channel. tests/test_rule_equivalence.py pins both to the rule:
-mws_step to the argmax of action_backlog over core.transmitters(channel)
-for N in {1, 2, 3, 8}, and ub_step to the old uniform backoff in
-tests/legacy_rules.py.
+and activation_probability the activation law; tests, analysis and
+lanes.activation_table read them. The four steps evaluate them inline,
+with no helper call per slot or per node: mws_step all of the rule,
+ub_step its "backlog > 0" test under an all-ON channel, rqcsma_step the
+decision node's action backlog under the realized channel and qcsma_step
+it under an all-ON channel, each CSMA step then its activation coin
+against the logistic expression activation_probability evaluates.
+tests/test_rule_equivalence.py pins each to the rule: mws_step to the
+argmax of action_backlog over core.transmitters(channel) for N in
+{1, 2, 3, 8}, and rqcsma_step, qcsma_step and ub_step to the old rules in
+tests/legacy_rules.py (which call action_backlog and
+activation_probability), decision for decision and coin for coin.
+tests/test_scheduling.py pins rqcsma_step's edges: an infeasible decision
+raises whatever its cell holds, an Idle decision writes its cell, and a
+CSMA step whose activation probability is exactly 1.0 still draws one
+coin.
 """
 
 from __future__ import annotations
@@ -97,38 +106,39 @@ def mws_step(queues, channel, params: NetworkParams):
     return best
 
 
-def _csma_step(queues, channel, held, decision,
-               params: NetworkParams, rng):
-    """Carrier-sense transition shared by both CSMA schedulers.
-
-    `held` is the schedule being maintained (per-realization memory for the
-    channel-aware variant, previous transmission for the baseline). With an
-    Idle decision everyone keeps state, and a decision node defers to a
-    different held node. Otherwise the decision node draws its activation
-    coin, unless its action backlog is zero: a dummy packet cannot seize the
-    slot.
-    """
-    if decision is IDLE or (held is not IDLE and held != decision):
-        return held
-    backlog = action_backlog(queues, channel, decision)
-    if backlog > 0 and rng.uniform() < activation_probability(
-            params.activation_gain * backlog):
-        return decision
-    return IDLE
-
-
 def rqcsma_step(queues, channel, memory: dict, decision,
                 params: NetworkParams, rng):
     """One channel-aware CSMA step; returns the schedule.
 
     `memory` maps each channel realization to the schedule of its most
     recent slot; a realization never seen reads as Idle (IDLE is None). Only
-    the cell of the realized channel vector is touched.
+    the cell of the realized channel vector is touched, and every step
+    writes it, an Idle decision's too. With an Idle decision the cell keeps
+    its schedule, and a decision node defers to a different held node.
+    Otherwise the decision node draws its activation coin, unless its
+    action backlog is zero: a dummy packet cannot seize the slot. A
+    decision node whose channel is OFF raises ValueError, whatever the cell
+    holds, and leaves `memory` unchanged.
     """
     if decision is not IDLE and decision != 0 and not channel[decision]:
         raise ValueError(f"infeasible decision {decision} under {channel}")
-    x = _csma_step(queues, channel, memory.get(channel), decision, params,
-                   rng)
+    x = memory.get(channel)
+    if decision is not IDLE and (x is IDLE or x == decision):
+        # action_backlog of the decision node; at or below zero (its floor)
+        # no coin is drawn.
+        m = params.n_relays
+        if decision != 0:
+            own, relayed = queues[decision], queues[decision + m]
+            backlog = own if own >= relayed else relayed
+        elif channel[0]:
+            backlog = queues[0]
+        else:
+            backlog = queues[0] - min(queues[m + 1:])
+        x = IDLE
+        # activation_probability(activation_gain * backlog), inline
+        if backlog > 0 and rng.uniform() < 1.0 / (1.0 + math.exp(
+                -(params.activation_gain * backlog))):
+            x = decision
     memory[channel] = x
     return x
 
@@ -137,12 +147,24 @@ def qcsma_step(queues, channel, previous_x, decision,
                params: NetworkParams, rng):
     """One channel-blind CSMA step, keyed on the previous transmission.
 
-    rqcsma's rule under an all-ON channel: the returned schedule may name a
-    relay whose channel is OFF, in which case the data slot is wasted (the
-    caller serves Idle).
+    rqcsma's rule under an all-ON channel, with `previous_x` for the memory
+    cell: the returned schedule may name a relay whose channel is OFF, in
+    which case the data slot is wasted (the caller serves Idle).
     """
-    return _csma_step(queues, params.all_on, previous_x, decision, params,
-                      rng)
+    if decision is IDLE or (previous_x is not IDLE
+                            and previous_x != decision):
+        return previous_x
+    # action_backlog of the decision node under params.all_on
+    if decision != 0:
+        own, relayed = queues[decision], queues[decision + params.n_relays]
+        backlog = own if own >= relayed else relayed
+    else:
+        backlog = queues[0]
+    # activation_probability(activation_gain * backlog), inline
+    if backlog > 0 and rng.uniform() < 1.0 / (1.0 + math.exp(
+            -(params.activation_gain * backlog))):
+        return decision
+    return IDLE
 
 
 def ub_step(queues, channel, params: NetworkParams, rng):

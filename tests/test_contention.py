@@ -153,3 +153,31 @@ def test_elect_rows_equals_elect_up_to_the_largest_window(values):
     assert winners == [
         -1 if (w := elect(row, transmitters(c), values)) is IDLE else w
         for row, c in zip(u.tolist(), channels.astype(int).tolist())]
+
+
+@pytest.mark.parametrize("values", [1, 2, 33, 2**53])
+def test_elect_clamp_at_the_largest_stream_uniform(values):
+    """At 1 - 2**-53, the largest uniform a stream serves, the backoff draw
+    is values - 1 without the clamp, so elect's comparison clamp, the old
+    min(int(u * values), values - 1) form and elect_rows pick the same
+    winner, row by row."""
+    top = 1.0 - 2.0**-53
+    assert int(top * values) == values - 1
+    u = RngStream(7, "contention").uniform_matrix(300, 4)
+    u[::2, 0] = top
+    u[1::3, 1] = top
+    u[::5, 2:] = top
+    channels = RngStream(8, "channels").uniform_matrix(300, 4) < 0.5
+
+    def min_form(row, nodes):
+        draws = {i: min(int(row[i] * values), values - 1) for i in nodes}
+        best = min(draws.values())
+        winners = [i for i in nodes if draws[i] == best]
+        return winners[0] if len(winners) == 1 else -1
+
+    expected = [min_form(row, transmitters(c))
+                for row, c in zip(u.tolist(), channels.astype(int).tolist())]
+    assert elect_rows(u, values, contenders(channels)).tolist() == expected
+    assert [-1 if (w := elect(row, transmitters(c), values)) is IDLE else w
+            for row, c in zip(u.tolist(),
+                              channels.astype(int).tolist())] == expected

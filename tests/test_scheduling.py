@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from relaysim import (IDLE, NetworkParams, QueueState, activation_probability,
                       differential_backlog, mws_step, qcsma_step, rqcsma_step,
                       ub_step)
+from relaysim.rng import RngStream
 from relaysim.scheduling import action_backlog
 
 
@@ -157,6 +158,41 @@ class TestRqCsma:
         x = rqcsma_step(q, (1, 1), memory, 0, self.params, FakeStream([0.0]))
         assert x == 0 and memory[(0, 1)] == 1
 
+    def test_infeasible_decision_rejected_whatever_the_cell_holds(self):
+        # the cell names a different node, which would make a feasible
+        # decision defer without a coin; an OFF decision node still raises
+        q = QueueState(10, (5,), (0,))
+        for held in (0, 1, IDLE):
+            memory = {(1, 0): held, (1, 1): 1}
+            with pytest.raises(ValueError,
+                               match=r"infeasible decision 1 under \(1, 0\)"):
+                rqcsma_step(q, (1, 0), memory, 1, self.params, FakeStream([]))
+            assert memory == {(1, 0): held, (1, 1): 1}
+        memory = {}
+        with pytest.raises(ValueError, match="infeasible decision"):
+            rqcsma_step(q, (1, 0), memory, 1, self.params, FakeStream([]))
+        assert memory == {}
+
+    def test_idle_decision_writes_an_idle_cell_for_an_unseen_realization(self):
+        q = QueueState(10, (5,), (0,))
+        memory = {(1, 1): 1}
+        x = rqcsma_step(q, (0, 1), memory, IDLE, self.params, FakeStream([]))
+        assert x is IDLE and memory == {(1, 1): 1, (0, 1): IDLE}
+
+    @pytest.mark.parametrize("channel,decision", [((1, 1), 0), ((0, 1), 0),
+                                                  ((1, 1), 1)])
+    def test_saturated_activation_still_draws_one_coin(self, channel,
+                                                       decision):
+        # at backlog 400 the activation probability is exactly 1.0, yet the
+        # decision node consumes its coin as at any positive backlog
+        assert activation_probability(self.params.activation_gain * 400) == 1.0
+        q = QueueState(400, (400,), (0,))
+        rng = RngStream(0, "scheduler")
+        memory = {}
+        x = rqcsma_step(q, channel, memory, decision, self.params, rng)
+        assert x == decision and memory == {channel: decision}
+        assert rng.position == 1
+
 
 class TestQCsma:
     def setup_method(self):
@@ -184,6 +220,14 @@ class TestQCsma:
         x = qcsma_step(QueueState.empty(1), (1, 1), IDLE, IDLE, self.params,
                        FakeStream([]))
         assert x is IDLE
+
+    @pytest.mark.parametrize("decision", [0, 1])
+    def test_saturated_activation_still_draws_one_coin(self, decision):
+        q = QueueState(400, (0,), (400,))
+        assert activation_probability(self.params.activation_gain * 400) == 1.0
+        rng = RngStream(0, "scheduler")
+        x = qcsma_step(q, (0, 0), IDLE, decision, self.params, rng)
+        assert x == decision and rng.position == 1
 
 
 class TestUb:
