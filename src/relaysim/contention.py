@@ -149,15 +149,30 @@ def decision_distribution(params: NetworkParams, channel) -> dict:
 
     With m contenders drawing uniformly over V = W+1 values, a contender
     wins iff its draw is strictly smaller than everyone else's:
-      P(win) = sum_d (1/V) * ((V-1-d)/V)^(m-1),
-    identical for all contenders; the rest of the mass is the collision
-    (Idle) outcome. Strictly positive on every feasible node.
+      P(win) = sum_d (1/V) * ((V-1-d)/V)^(m-1) = S / V^m,
+    where S = sum_{k<V} k^(m-1), identical for all contenders; the rest of
+    the mass, (V^m - m S) / V^m, is the collision (Idle) outcome. S is an
+    exact integer (_power_sum), so the cost does not grow with W and both
+    masses are int true divisions, each the double nearest the exact
+    ratio. Strictly positive on every feasible node.
     """
     validate_channel(params, channel)
     nodes = transmitters(channel)
     m = len(nodes)
     v = params.contention_window + 1
-    p_win = sum((1.0 / v) * ((v - 1 - d) / v) ** (m - 1) for d in range(v))
-    dist = {i: p_win for i in nodes}
-    dist[IDLE] = max(0.0, 1.0 - m * p_win)
+    wins, total = _power_sum(v, m - 1), v ** m
+    dist = dict.fromkeys(nodes, wins / total)
+    dist[IDLE] = (total - m * wins) / total
     return dist
+
+
+def _power_sum(n, p):
+    """sum_{k<n} k**p (0**0 = 1) as an exact int, in O(p**2) steps: each
+    S_q follows from n**(q+1) = sum_{j<=q} C(q+1, j) S_j, which telescopes
+    (k+1)**(q+1) - k**(q+1) over k < n."""
+    sums, binomials = [], [1]
+    for q in range(p + 1):
+        binomials = [1, *map(sum, zip(binomials, binomials[1:])), 1]
+        rest = sum(c * s for c, s in zip(binomials, sums))
+        sums.append((n ** (q + 1) - rest) // (q + 1))
+    return sums[-1]

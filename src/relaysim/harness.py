@@ -103,11 +103,15 @@ def classify_stability(slots, totals, total_rate, horizon):
     the horizon (vacuous for zero offered load). The fit's slot side is
     built once per horizon for the shared sample_slots(horizon) tuple and
     from `slots` for any other sequence, by the same operations, so both
-    give the same bits.
+    give the same bits. Fewer than MIN_CLASSIFIED_SAMPLES slots, or a
+    different number of totals than slots, raises ValueError.
     """
     if len(slots) < MIN_CLASSIFIED_SAMPLES:
         raise ValueError(f"trajectory must have at least "
                          f"{MIN_CLASSIFIED_SAMPLES} samples")
+    if len(totals) != len(slots):
+        raise ValueError(f"got {len(totals)} totals for {len(slots)} "
+                         f"sampled slots")
     if (isinstance(horizon, int) and horizon >= 1
             and slots is sample_slots(horizon)):
         tail, xm, denom = _sampled_tail_fit(horizon)
@@ -139,10 +143,14 @@ def sample_slots(horizon):
     """The slots whose total backlog a run's trajectory records: every
     stride-th slot, at most MAX_TRAJECTORY_POINTS of them, and the last.
 
-    One tuple is built per horizon and shared by every call, so all
-    results at a horizon hold the same index rather than a copy each. The
-    cache keeps at most MAX_TRAJECTORY_POINTS + 1 ints per distinct
-    horizon (about 0.36 MB at horizon 1e4 or more)."""
+    One tuple is built per horizon, and it is the index's only owner: no
+    caller passes it on or copies it per run. run_once walks it in place
+    with a next-sample cursor, the lane engine takes one array of it per
+    call and fills each block's trajectory rows from that block's range,
+    run_result and classify_run look it up from the horizon, and every
+    result at a horizon holds this tuple. The cache keeps at most
+    MAX_TRAJECTORY_POINTS + 1 ints per distinct horizon (about 0.36 MB at
+    horizon 1e4 or more)."""
     stride = max(1, math.ceil(horizon / MAX_TRAJECTORY_POINTS))
     slots = range(0, horizon, stride)
     return tuple(slots) if slots[-1] == horizon - 1 else (*slots, horizon - 1)
@@ -157,20 +165,21 @@ def _sampled_tail_fit(horizon):
     return fit
 
 
-def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
+def run_result(seed, lam, horizon, totals, acc, memory_entries,
                distinct_channels, records) -> RunResult:
-    """A run's RunResult from its sampled trajectory and its sum of per-slot
-    total backlogs; a trajectory of fewer than MIN_CLASSIFIED_SAMPLES
-    samples is left unclassified. `totals` is a list of ints or, from the
-    lane engine, an int64 array, which is classified as it is; the result
-    holds it as a tuple of ints either way."""
-    stable, slope = classify_run(slots, totals, lam, horizon)
+    """A run's RunResult from its trajectory at sample_slots(horizon) and
+    its sum of per-slot total backlogs; a trajectory of fewer than
+    MIN_CLASSIFIED_SAMPLES samples is left unclassified. `totals` is a list
+    of ints or, from the lane engine, an int64 array, which is classified
+    as it is; the result holds it as a tuple of ints either way, and holds
+    the shared index itself as `slots`, not a copy."""
+    stable, slope = classify_run(totals, lam, horizon)
     if isinstance(totals, np.ndarray):
         totals = totals.tolist()
     return RunResult(
         seed=seed,
         q_avg=acc / horizon,
-        slots=slots,
+        slots=sample_slots(horizon),
         totals=tuple(totals),
         final_total=totals[-1],
         stable=stable,
@@ -181,10 +190,11 @@ def run_result(seed, lam, horizon, slots, totals, acc, memory_entries,
     )
 
 
-def classify_run(slots, totals, lam, horizon):
-    """classify_stability's (stable, slope) of a run at rates `lam`, or
-    (None, None) for a trajectory of fewer than MIN_CLASSIFIED_SAMPLES
-    samples."""
+def classify_run(totals, lam, horizon):
+    """classify_stability's (stable, slope) of a run at rates `lam` from its
+    totals at sample_slots(horizon), or (None, None) when that index has
+    fewer than MIN_CLASSIFIED_SAMPLES samples."""
+    slots = sample_slots(horizon)
     if len(slots) < MIN_CLASSIFIED_SAMPLES:
         return None, None
     return classify_stability(slots, totals, sum(lam), horizon)
@@ -238,8 +248,9 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     held = IDLE  # qcsma: the schedule of the previous slot
     seen_channels = set()
 
-    slots = sample_slots(horizon)
-    sampled = set(slots)
+    # The next sampled slot, read from the shared index in place.
+    samples = iter(sample_slots(horizon))
+    due = next(samples)
     totals = []
     records = []
     if sink is None:
@@ -286,14 +297,15 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
             row, tag = apply_slot(row, x_data, channel, arrivals)
             total = sum(row)
             acc += total
-            if t in sampled:
+            if t == due:
                 totals.append(total)
+                due = next(samples, horizon)
             if trace:
                 sink(SlotRecord(t, channel, decision, x, tag, arrivals,
                                 QueueState.from_row(row)))
 
-    return run_result(seed, params.lam, horizon, slots, totals, acc,
-                      len(memory), len(seen_channels), records)
+    return run_result(seed, params.lam, horizon, totals, acc, len(memory),
+                      len(seen_channels), records)
 
 
 def run_seeds(config: ExperimentConfig, *, sink=None):

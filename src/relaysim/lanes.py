@@ -51,8 +51,10 @@ node and one column per lane, so that each row's lanes are contiguous):
   channel bitmask mark the ones each seed has seen (one row per seed) and,
   for rqcsma, hold each lane's carrier-sense memory of each realization.
   Above MAX_TABLE_RELAYS relays that table is too large.
-- trajectory: one int64 array of shape (samples, lanes); each lane's
-  column is classified as it is (harness.run_result).
+- trajectory: one int64 array of shape (samples, lanes), one row per slot
+  of harness.sample_slots(horizon); each block fills the rows of its own
+  range of that shared index, and each lane's column is classified as it
+  is (harness.run_result, which looks the index up from the horizon).
 
 At a few dozen lanes a slot's cost is mostly numpy's fixed cost per call,
 so the slot loop makes few calls, each on whole per-lane arrays. Every
@@ -115,11 +117,10 @@ def run_lanes(config: ExperimentConfig, lanes):
         return
     if not lanes:
         return
-    lane_params, slots, traj, acc, distinct = _simulate(config, lanes)
+    lane_params, traj, acc, distinct = _simulate(config, lanes)
     rqcsma = config.scheduler == "rqcsma"
     for k, (p, (_, seed)) in enumerate(zip(lane_params, lanes)):
-        yield run_result(seed, p.lam, config.horizon, slots,
-                         traj[:, k], int(acc[k]),
+        yield run_result(seed, p.lam, config.horizon, traj[:, k], int(acc[k]),
                          # every rqcsma slot writes its realization's cell
                          distinct[k] if rqcsma else 0, distinct[k], [])
 
@@ -143,10 +144,10 @@ def lane_outcomes(config: ExperimentConfig, lanes) -> list:
     if not lanes or not _on_engine(config):
         return [LaneOutcome(r.q_avg, r.final_total, r.stable)
                 for r in run_lanes(config, lanes)]
-    lane_params, slots, traj, acc, _ = _simulate(config, lanes)
+    lane_params, traj, acc, _ = _simulate(config, lanes)
     horizon = config.horizon
     return [LaneOutcome(int(acc[k]) / horizon, int(traj[-1, k]),
-                        classify_run(slots, traj[:, k], p.lam, horizon)[0])
+                        classify_run(traj[:, k], p.lam, horizon)[0])
             for k, p in enumerate(lane_params)]
 
 
@@ -164,15 +165,14 @@ def _on_engine(config):
 def _simulate(config, lanes):
     """Advance every (lam, seed) lane through the horizon.
 
-    Returns each lane's NetworkParams, the sampled slots
-    (sample_slots(horizon)), the (samples, lanes) trajectory at those slots,
-    each lane's sum of per-slot total backlogs, and each lane's count of
-    distinct channel realizations.
+    Returns each lane's NetworkParams, the (samples, lanes) trajectory at
+    the slots of sample_slots(horizon), each lane's sum of per-slot total
+    backlogs, and each lane's count of distinct channel realizations.
+    Callers read the index itself from sample_slots(horizon).
     """
     params = config.params
     lane_params = [replace(params, lam=lam) for lam, _ in lanes]
     seeds = [seed for _, seed in lanes]
-    slots = sample_slots(config.horizon)
     horizon = config.horizon
     rqcsma = config.scheduler == "rqcsma"  # else mws
     sampler = rqcsma and config.decision_mode == "sampler"
@@ -258,11 +258,10 @@ def _simulate(config, lanes):
         masked = np.zeros_like(ab)  # Idle's row stays 0
         masked_nodes = masked[1:]
 
-    sample_t = np.array(slots)
+    sample_t = np.array(sample_slots(horizon))
     traj = np.empty((len(sample_t), n_lanes), dtype=np.int64)
     acc = np.zeros(n_lanes, dtype=np.int64)
     total = zeros
-    filled = 0
     add, copyto, maximum, minimum, multiply, subtract = (
         np.add, np.copyto, np.maximum, np.minimum, np.multiply, np.subtract)
 
@@ -390,18 +389,15 @@ def _simulate(config, lanes):
         block += total
         total = block[-1].copy()
         acc += block.sum(axis=0)
-        in_block = sample_t[filled:]
-        in_block = in_block[in_block < start + n_slots]
-        traj[filled:filled + len(in_block)] = block[in_block - start]
-        filled += len(in_block)
+        lo, hi = sample_t.searchsorted((start, start + n_slots))
+        traj[lo:hi] = block[sample_t[lo:hi] - start]
         # This block's arrays go before the next block draws its own.
         channels = realization = arrived = arrivals = None
         c0_off = forward_from = None
         cell_at = mws_mask = decision_at = None
         on = options = row = option_scale = last_option = None
 
-    return (lane_params, slots, traj, acc,
-            per_lane(seen.sum(axis=1), 0).tolist())
+    return lane_params, traj, acc, per_lane(seen.sum(axis=1), 0).tolist()
 
 
 def _refill(buf, used, coins):

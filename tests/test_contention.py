@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,24 @@ class TestDecisionDistribution:
         for outcome, prob in dist.items():
             sigma = (prob * (1 - prob) / n) ** 0.5
             assert abs(counts[outcome] / n - prob) <= 3 * sigma
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_largest_window_is_exact_and_fast(self, m):
+        """At W = 2**53 - 1, the largest window NetworkParams accepts, the
+        law takes no time that grows with W and its masses are exact: for
+        m = 2 the Idle mass is 1/V and each win (V - 1) / 2V; for m = 4
+        the Idle mass is (2V - 1) / V**2."""
+        v = 2**53
+        p = params_for((0.4,) + (0.7,) * (m - 1), contention_window=v - 1)
+        t0 = time.perf_counter()
+        dist = decision_distribution(p, (1,) * m)
+        assert time.perf_counter() - t0 < 1.0
+        if m == 2:
+            assert dist[IDLE] == 2**-53
+            assert dist[0] == dist[1] == (2**53 - 1) / 2**54
+        else:
+            assert dist[IDLE] == (2 * v - 1) / v**2
+        assert sum(dist.values()) == pytest.approx(1.0)
 
 
 class TestSampledDecision:

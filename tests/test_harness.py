@@ -70,6 +70,15 @@ class TestClassifyStability:
         with pytest.raises(ValueError):
             classify_stability(tuple(range(50)), (0.0,) * 50, 0.0, 50)
 
+    @pytest.mark.parametrize("n_totals", [149, 300])
+    def test_rejects_a_length_mismatch(self, n_totals):
+        """Too few or too many totals for the slots is an error naming both
+        lengths, for a plain sequence and for the shared index alike."""
+        for slots in (tuple(range(150)), sample_slots(150)):
+            with pytest.raises(ValueError,
+                               match=f"{n_totals} totals for 150 sampled"):
+                classify_stability(slots, (0,) * n_totals, 0.0, 150)
+
     @pytest.mark.parametrize("horizon", [100, 1_061, 10_000, 50_001])
     @pytest.mark.parametrize("drift", [0.0, 0.004, 0.3])
     def test_same_bits_for_any_slots_and_totals(self, horizon, drift):
