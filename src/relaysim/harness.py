@@ -10,15 +10,22 @@ traced runs. Its per-slot state is one list of ints in QueueState's flat
 layout, [Q_0, Q_1..Q_N, Q_01..Q_0N] (a lane's row in the lane engine), which
 the scheduling rules and core.apply_slot index as they index a QueueState;
 each slot calls its scheduler's step, and the total backlog is the row's
-sum. sweep_grid cuts all (grid point x seed) runs once into contiguous
-parts of at most MAX_BATCH_LANES lanes, and at least one per worker. Each
-part is one lanes.lane_outcomes call, which gives each lane the mean
-backlog, final backlog and verdict of the RunResult run_once gives: it
-advances mws and rqcsma lanes in numpy lockstep, reading those three from
-the lane arrays, and runs the channel-blind baselines' lanes (qcsma, ub)
-through run_once, one at a time. The calling process builds every row
-from them, so sweep rows do not depend on the worker count and no pool
-worker computes an interval or imports scipy.
+sum. Each channel realization of a run is one shared tuple, looked up by
+its key: the realization's bitmask, as in the lane engine, up to 62 relays
+(N + 1 bits fit an int64) and the tuple itself above; distinct_channels
+counts the keys. Only the channel-blind schedulers (qcsma, ub) may hold a
+relay whose channel is OFF, which wastes the slot; a channel-aware one
+that schedules one makes apply_slot raise.
+
+sweep_grid cuts all (grid point x seed) runs once into contiguous parts of
+at most MAX_BATCH_LANES lanes, and at least one per worker. Each part is
+one lanes.lane_outcomes call, which gives each lane the mean backlog,
+final backlog and verdict of the RunResult run_once gives: it advances mws
+and rqcsma lanes in numpy lockstep, reading those three from the lane
+arrays, and runs the channel-blind baselines' lanes (qcsma, ub) through
+run_once, one at a time. The calling process builds every row from them,
+so sweep rows do not depend on the worker count and no pool worker
+computes an interval or imports scipy.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ MIN_CLASSIFIED_SAMPLES = 100
 # Slots per block of pre-drawn channels, arrivals and elections; bounds a
 # run's draw buffers at any horizon.
 BLOCK_SLOTS = 1024
+# Most nodes whose channel realizations run_once keys by their bitmask:
+# N + 1 bits fit an int64 up to 62 relays.
+MAX_MASK_NODES = 63
 # Most lanes per lanes.lane_outcomes call of a sweep; bounds a call's arrays
 # (about 0.2 MB per lane at horizon 1e4: a tracemalloc peak of 5.6 MB at 24
 # lanes and 41.5 MB at 217, rqcsma at N=1) at some cost in throughput: the
@@ -205,6 +215,24 @@ def _int_rows(block):
     return list(zip(*block.T.tolist()))
 
 
+def _shared_rows(channel_block, realizations):
+    """The rows of a block of channel draws, each its realization's one
+    shared tuple of ints from `realizations`, which maps each realization's
+    key to that tuple and gains the realizations new in the block. The key
+    is the realization's bitmask, sum of channel[i] << i, as in the lane
+    engine; above MAX_MASK_NODES nodes it is the tuple itself."""
+    n_nodes = channel_block.shape[1]
+    if n_nodes > MAX_MASK_NODES:
+        return [realizations.setdefault(c, c)
+                for c in _int_rows(channel_block)]
+    nodes = np.arange(n_nodes, dtype=np.int64)
+    keys = (channel_block @ (1 << nodes)).tolist()
+    new = list(set(keys).difference(realizations))
+    bits = (np.array(new, dtype=np.int64)[:, None] >> nodes) & 1
+    realizations.update(zip(new, map(tuple, bits.tolist())))
+    return list(map(realizations.__getitem__, keys))
+
+
 def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     """Execute one seeded run of `horizon` slots.
 
@@ -228,6 +256,15 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     realized channel for rqcsma, params.all_on for qcsma. Each slot then
     calls its scheduler's step.
 
+    Every slot of a channel realization holds the same tuple: a block's
+    channel rows are keyed by their bitmask (by the tuple itself above
+    MAX_MASK_NODES nodes, 62 relays) and mapped through one run-level dict
+    from key to tuple, so distinct_channels is the number of keys. Only
+    the channel-blind schedulers' slots go through the data-plane check:
+    a qcsma or ub schedule holding a relay whose channel is OFF is served
+    as Idle. mws and rqcsma never schedule one; if they did, apply_slot
+    would raise ValueError.
+
     The queues are one list of ints, [Q_0, Q_1..Q_N, Q_01..Q_0N], which the
     scheduling step and apply_slot index as they index a QueueState. The
     total backlog is the row's sum after each slot. A QueueState is built
@@ -246,7 +283,7 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
     backoffs, coins = streams.contention, streams.scheduler
     memory = {}  # rqcsma: channel realization -> schedule of its last slot
     held = IDLE  # qcsma: the schedule of the previous slot
-    seen_channels = set()
+    realizations = {}  # channel realization key -> its one shared tuple
 
     # The next sampled slot, read from the shared index in place.
     samples = iter(sample_slots(horizon))
@@ -262,10 +299,9 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
         n_slots = min(BLOCK_SLOTS, horizon - start)
         channel_block = sample_channel_matrix(params, streams.channels,
                                               n_slots)
-        channels = _int_rows(channel_block)
+        channels = _shared_rows(channel_block, realizations)
         arrivals_block = _int_rows(sample_arrival_matrix(
             params, streams.arrivals, n_slots))
-        seen_channels.update(channels)
         if scheduler in ("mws", "ub"):
             decisions = repeat(IDLE)
         elif config.decision_mode == "contention":
@@ -280,19 +316,21 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
                 range(start, start + n_slots), channels, arrivals_block,
                 decisions):
             if scheduler == "mws":
-                x = decision = mws_step(row, channel, params)
+                x = x_data = decision = mws_step(row, channel, params)
             elif aware:
-                x = rqcsma_step(row, channel, memory, decision, params, coins)
-            elif scheduler == "qcsma":
-                x = held = qcsma_step(row, channel, held, decision, params,
-                                      coins)
+                x = x_data = rqcsma_step(row, channel, memory, decision,
+                                         params, coins)
             else:
-                x = decision = ub_step(row, channel, params, backoffs)
-            # Data plane: a blind scheduler holding an OFF relay wastes the
-            # slot.
-            x_data = x
-            if x is not IDLE and x != 0 and not channel[x]:
-                x_data = IDLE
+                if scheduler == "qcsma":
+                    x = held = qcsma_step(row, channel, held, decision,
+                                          params, coins)
+                else:
+                    x = decision = ub_step(row, channel, params, backoffs)
+                # Data plane: a blind scheduler holding an OFF relay wastes
+                # the slot.
+                x_data = x
+                if x is not IDLE and x != 0 and not channel[x]:
+                    x_data = IDLE
 
             row, tag = apply_slot(row, x_data, channel, arrivals)
             total = sum(row)
@@ -305,7 +343,7 @@ def run_once(config: ExperimentConfig, seed, *, sink=None) -> RunResult:
                                 QueueState.from_row(row)))
 
     return run_result(seed, params.lam, horizon, totals, acc, len(memory),
-                      len(seen_channels), records)
+                      len(realizations), records)
 
 
 def run_seeds(config: ExperimentConfig, *, sink=None):
