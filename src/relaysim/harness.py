@@ -92,6 +92,16 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
+    """One seed's run, as run_result builds it for run_once and the lane
+    engine alike.
+
+    `slots` is the shared sample_slots(horizon) index itself, not a copy,
+    and `totals` is the total backlog at those slots, a tuple holding one
+    int object per distinct value, so that results kept alive cost one
+    object per backlog level rather than one per sample. `records` holds
+    the slot records of a traced run without a sink and is empty
+    otherwise.
+    """
     seed: int
     q_avg: float
     slots: tuple
@@ -181,16 +191,19 @@ def run_result(seed, lam, horizon, totals, acc, memory_entries,
     its sum of per-slot total backlogs; a trajectory of fewer than
     MIN_CLASSIFIED_SAMPLES samples is left unclassified. `totals` is a list
     of ints or, from the lane engine, an int64 array, which is classified
-    as it is; the result holds it as a tuple of ints either way, and holds
-    the shared index itself as `slots`, not a copy."""
+    as it is; the result holds it as a tuple of ints either way, with one
+    object per distinct value (a per-call dict maps each value to its first
+    object), and holds the shared index itself as `slots`, not a copy."""
     stable, slope = classify_run(totals, lam, horizon)
     if isinstance(totals, np.ndarray):
         totals = totals.tolist()
+    shared = {}
+    totals = tuple(map(shared.setdefault, totals, totals))
     return RunResult(
         seed=seed,
         q_avg=acc / horizon,
         slots=sample_slots(horizon),
-        totals=tuple(totals),
+        totals=totals,
         final_total=totals[-1],
         stable=stable,
         slope=slope,

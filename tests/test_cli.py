@@ -423,10 +423,12 @@ def traced_run_peak(tmp_path, horizon):
 
 
 def test_trace_memory_does_not_grow_with_the_horizon(tmp_path):
-    # Above MAX_TRAJECTORY_POINTS the sampled trajectory no longer grows,
-    # so only slot records held in memory could.
-    short, long = 12_000, 48_000
-    assert short > harness.MAX_TRAJECTORY_POINTS
+    # Both horizons sample the same number of slots (strides 2 and 8), so
+    # the trajectory is the same size and only slot records held in memory
+    # could grow with the horizon.
+    short, long = 20_000, 80_000
+    assert (len(harness.sample_slots(short))
+            == len(harness.sample_slots(long)))
     peaks = [traced_run_peak(tmp_path, horizon) for horizon in (short, long)]
     assert len(read_lines(tmp_path / "trace.jsonl")) == long + 1
     assert peaks[1] < 1.5 * peaks[0], peaks

@@ -704,6 +704,29 @@ def test_results_at_one_horizon_share_their_slots(scheduler):
     assert all(r.slots is shared for r in results)
 
 
+def assert_one_object_per_value(result):
+    # backlogs above 256 repeat, and Python caches no int that large
+    big = [v for v in result.totals if v > 256]
+    assert len(set(big)) < len(big)
+    assert len({id(v) for v in result.totals}) == len(set(result.totals))
+
+
+@pytest.mark.parametrize("scheduler", ["qcsma", "ub"])
+def test_run_once_totals_hold_one_object_per_value(scheduler):
+    cfg = make_config(lam=(0.6, 0.05, 0.05, 0.05), rho=(0.4, 0.7, 0.8, 0.7),
+                      horizon=10_000, scheduler=scheduler)
+    assert_one_object_per_value(run_once(cfg, 0))
+
+
+@pytest.mark.parametrize("scheduler", ["mws", "rqcsma"])
+def test_lane_totals_hold_one_object_per_value(scheduler):
+    cfg = make_config(horizon=10_000, scheduler=scheduler)
+    results = list(run_lanes(cfg, [((0.9, 0.5), 0), ((0.8, 0.3), 1)]))
+    assert [r.stable for r in results] == [False, False]
+    for result in results:
+        assert_one_object_per_value(result)
+
+
 def test_each_extra_seed_keeps_only_its_own_trajectory():
     """A result at horizon 1e4 keeps its totals (one tuple of 10 001
     entries, about 80 KB), not a copy of the 10 001 sampled slots as well
