@@ -128,7 +128,14 @@ def solve_stationary(tm: TransitionMatrix) -> StationaryDistribution:
 
 
 def product_form(activation_probs: dict) -> StationaryDistribution:
-    """Closed-form stationary law: pi(y) = (p_y/(1-p_y))/Z, pi(Idle) = 1/Z."""
+    """Closed-form stationary law: pi(y) = (p_y/(1-p_y))/Z, pi(Idle) = 1/Z.
+
+    Each activation probability must lie in [0, 1): at 1 its odds are
+    infinite.
+    """
+    for y, p in activation_probs.items():
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"activation probability p[{y}]={p} outside [0, 1)")
     nodes = tuple(sorted(activation_probs))
     odds = [activation_probs[y] / (1.0 - activation_probs[y]) for y in nodes]
     z = 1.0 + sum(odds)

@@ -33,19 +33,16 @@ class ContentionOutcome:
 def elect(row, contenders, values):
     """One backoff election over a row of uniforms.
 
-    Contender i draws the backoff min(int(row[i] * values), values - 1), one
-    of `values` equally likely integers; the clamp is a comparison, not a
-    min() call per contender. It never binds for stream uniforms, which are
-    multiples of 2**-53 below 1, while values <= 2**53 (the contention
-    window's bound), and tests/test_contention.py pins it to elect_rows at
-    the largest of them. The unique minimum wins; a tie at the minimum, or
+    Contender i draws the backoff int(row[i] * values), one of `values`
+    equally likely integers. It is at most values - 1, since stream
+    uniforms are multiples of 2**-53 below 1 and values <= 2**53 (the
+    contention window's bound); tests/test_contention.py pins the draw at
+    the largest uniform. The unique minimum wins; a tie at the minimum, or
     no contender at all, gives Idle.
     """
-    winner, best, collided, top = IDLE, values, False, values - 1
+    winner, best, collided = IDLE, values, False
     for i in contenders:
         draw = int(row[i] * values)
-        if draw > top:
-            draw = top
         if draw < best:
             winner, best, collided = i, draw, False
         elif draw == best:
@@ -91,9 +88,9 @@ def elect_rows(u, values, contends):
 
     Returns the winner per row as an int64 array, -1 for Idle. `contends`,
     a boolean array that broadcasts to u's shape, names the contenders.
+    Each draw is at most values - 1, as in elect.
     """
     draws = (u * values).astype(np.int64)  # elect's backoff draws
-    np.minimum(draws, values - 1, out=draws)
     draws = np.where(contends, draws, values)  # above every real draw
     unique = (draws == draws.min(axis=-1, keepdims=True)).sum(axis=-1) == 1
     return np.where(unique, draws.argmin(axis=-1), -1)
@@ -131,9 +128,10 @@ def sampler_options(channel) -> tuple:
 
 
 def sample_option(options, rng):
-    """One of `options`, uniformly, from one uniform of `rng`."""
-    k = min(int(rng.uniform() * len(options)), len(options) - 1)
-    return options[k]
+    """One of `options`, uniformly, from one uniform of `rng`. The index
+    int(u * len(options)) is at most len(options) - 1, since a stream
+    uniform is at most 1 - 2**-53 (as in elect)."""
+    return options[int(rng.uniform() * len(options))]
 
 
 def sampled_decision(params: NetworkParams, channel, rng):

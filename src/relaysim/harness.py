@@ -31,6 +31,7 @@ computes an interval or imports scipy.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import chain, repeat
@@ -228,20 +229,27 @@ def _int_rows(block):
     return list(zip(*block.T.tolist()))
 
 
+def realization_keys(channels):
+    """The realization key of each channel row of an array (last axis:
+    nodes): its bitmask, sum of channel[i] << i, as int64, which holds
+    every bit up to MAX_MASK_NODES nodes. run_once and the lane engine
+    both key realizations by it."""
+    return channels @ (1 << np.arange(channels.shape[-1], dtype=np.int64))
+
+
 def _shared_rows(channel_block, realizations):
     """The rows of a block of channel draws, each its realization's one
     shared tuple of ints from `realizations`, which maps each realization's
     key to that tuple and gains the realizations new in the block. The key
-    is the realization's bitmask, sum of channel[i] << i, as in the lane
-    engine; above MAX_MASK_NODES nodes it is the tuple itself."""
+    is realization_keys' bitmask; above MAX_MASK_NODES nodes it is the
+    tuple itself."""
     n_nodes = channel_block.shape[1]
     if n_nodes > MAX_MASK_NODES:
         return [realizations.setdefault(c, c)
                 for c in _int_rows(channel_block)]
-    nodes = np.arange(n_nodes, dtype=np.int64)
-    keys = (channel_block @ (1 << nodes)).tolist()
+    keys = realization_keys(channel_block).tolist()
     new = list(set(keys).difference(realizations))
-    bits = (np.array(new, dtype=np.int64)[:, None] >> nodes) & 1
+    bits = (np.array(new, dtype=np.int64)[:, None] >> np.arange(n_nodes)) & 1
     realizations.update(zip(new, map(tuple, bits.tolist())))
     return list(map(realizations.__getitem__, keys))
 
@@ -432,11 +440,12 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     and seed order. The lanes are cut once into contiguous parts, at least
     `workers` and at most MAX_BATCH_LANES lanes each but never more parts
     than lanes, and each part is one lanes.lane_outcomes call, in a pool of
-    up to `workers` processes when there are two or more. The parts return
-    only what a row reads of each run, and the rows are built here in grid
-    order, so each run equals run_once and the rows are identical for every
-    worker count. A point that fails validation is reported with an
-    "error" field instead of aborting the sweep.
+    up to `workers` processes, but no more than the CPU count, when there
+    are two or more. The parts return only what a row reads of each run,
+    and the rows are built here in grid order, so each run equals run_once
+    and the rows are identical for every worker count. A point that fails
+    validation is reported with an "error" field instead of aborting the
+    sweep.
     """
     from .lanes import lane_outcomes  # lanes builds on this module
 
@@ -455,7 +464,7 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     n_parts = max(1, min(len(lanes),
                          max(workers, -(-len(lanes) // MAX_BATCH_LANES))))
     parts = _even_split(lanes, n_parts)
-    n_procs = min(workers, n_parts)
+    n_procs = min(workers, n_parts, os.cpu_count() or 1)
     if n_procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_procs) as pool:

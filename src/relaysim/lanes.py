@@ -48,8 +48,9 @@ node and one column per lane, so that each row's lanes are contiguous):
   over integer backlogs b, so every coin compares against the value
   run_once computes.
 - channel realizations: dense tables of 2^(N+1) cells indexed by the
-  channel bitmask mark the ones each seed has seen (one row per seed) and,
-  for rqcsma, hold each lane's carrier-sense memory of each realization.
+  realization key (harness.realization_keys, as run_once keys them) mark
+  the ones each seed has seen (one row per seed) and, for rqcsma, hold
+  each lane's carrier-sense memory of each realization.
   Above MAX_TABLE_RELAYS relays that table is too large.
 - trajectory: one int64 array of shape (samples, lanes), one row per slot
   of harness.sample_slots(horizon); each block fills the rows of its own
@@ -75,8 +76,8 @@ import numpy as np
 
 from .contention import contenders, elect_rows
 from .core import integer
-from .harness import (BLOCK_SLOTS, ExperimentConfig, classify_run, run_once,
-                      run_result, sample_slots)
+from .harness import (BLOCK_SLOTS, ExperimentConfig, classify_run,
+                      realization_keys, run_once, run_result, sample_slots)
 from .rng import RngStream, RunStreams, sample_channel_matrix
 from .scheduling import activation_probability
 
@@ -242,7 +243,6 @@ def _simulate(config, lanes):
 
     cells = 1 << n
     seen = np.zeros((len(streams), cells), dtype=bool)
-    weights = 1 << np.arange(n, dtype=np.int64)
     if rqcsma:
         # The scheduler stream is each lane's own: how many values it
         # takes depends on the lane's queues.
@@ -262,8 +262,8 @@ def _simulate(config, lanes):
     traj = np.empty((len(sample_t), n_lanes), dtype=np.int64)
     acc = np.zeros(n_lanes, dtype=np.int64)
     total = zeros
-    add, copyto, maximum, minimum, multiply, subtract = (
-        np.add, np.copyto, np.maximum, np.minimum, np.multiply, np.subtract)
+    add, copyto, maximum, multiply, subtract = (
+        np.add, np.copyto, np.maximum, np.multiply, np.subtract)
 
     for start in range(0, horizon, BLOCK_SLOTS):
         n_slots = min(BLOCK_SLOTS, horizon - start)
@@ -276,15 +276,15 @@ def _simulate(config, lanes):
             axis=2), 2) < thresholds  # (slots, (N+1) * a_max, lanes)
         arrivals = arrived.reshape(n_slots, n, m, n_lanes).sum(
             axis=2, dtype=np.int64)
-        realization = channels @ weights  # (slots, seeds)
+        realization = realization_keys(channels)  # (slots, seeds)
         seen[seed_rows, realization] = True
+        contends = contenders(channels)
         if not rqcsma:
-            mws_mask = per_lane(contenders(channels).transpose(
-                0, 2, 1).astype(np.int64), 2)
+            mws_mask = per_lane(contends.swapaxes(1, 2).astype(np.int64), 2)
         elif not sampler:
             decision_at = index(per_lane(elect_rows(np.stack(
                 [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=1), window + 1, contenders(channels)), 1))
+                axis=1), window + 1, contends), 1))
         c0_off = per_lane((channels[:, :, 0] == 0).astype(np.int64), 1)
         # The source forwards what it serves from Q_0 (flat index `lane`)
         # only when its channel is OFF.
@@ -293,18 +293,16 @@ def _simulate(config, lanes):
         if rqcsma:
             cell_at = per_lane(realization, 1) + lane * cells
         if sampler:
-            # Options of sampled_decision: Idle, node 0, then the ON relays,
-            # in index order; option k of (slot, lane) row r at
-            # options[r * (n + 1) + k].
-            on = channels[:, :, 1:] != 0
-            relays_on = np.sort(np.where(on, np.arange(1, n), n), axis=-1)
-            head = np.broadcast_to([-1, 0], relays_on.shape[:-1] + (2,))
+            # Options of sampled_decision: Idle, then the transmitters that
+            # `contenders` marks, in index order; option k of (slot, lane)
+            # row r at options[r * (n + 1) + k].
+            nodes = np.sort(np.where(contends, np.arange(n), n), axis=-1)
+            head = np.full(nodes.shape[:-1] + (1,), -1)
             options = index(per_lane(np.concatenate(
-                (head, relays_on), axis=-1), 1), lane[:, None]).reshape(-1)
+                (head, nodes), axis=-1), 1), lane[:, None]).reshape(-1)
             row = (np.arange(n_slots * n_lanes) * (n + 1)).reshape(
                 n_slots, n_lanes)
-            last_option = per_lane(on.sum(axis=-1) + 1, 1)
-            option_scale = (last_option + 1).astype(float)
+            option_scale = per_lane(contends.sum(axis=-1) + 1.0, 1)
         if rqcsma:
             _refill(buf, at - b_row, coins)
             at = b_row.copy()
@@ -342,7 +340,6 @@ def _simulate(config, lanes):
                     at += ones
                     multiply(u, option_scale[t], out=u)
                     k = u.astype(np.int64)
-                    minimum(k, last_option[t], out=k)
                     add(k, row[t], out=k)
                     d = options[k]
                 else:
@@ -392,10 +389,10 @@ def _simulate(config, lanes):
         lo, hi = sample_t.searchsorted((start, start + n_slots))
         traj[lo:hi] = block[sample_t[lo:hi] - start]
         # This block's arrays go before the next block draws its own.
-        channels = realization = arrived = arrivals = None
+        channels = realization = contends = arrived = arrivals = None
         c0_off = forward_from = None
         cell_at = mws_mask = decision_at = None
-        on = options = row = option_scale = last_option = None
+        nodes = options = row = option_scale = None
 
     return lane_params, traj, acc, per_lane(seen.sum(axis=1), 0).tolist()
 

@@ -135,6 +135,16 @@ class TestProductForm:
         assert np.allclose(pi.pi, [0.25, 0.5, 0.25])
         assert pi.prob(IDLE) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, math.nan])
+    def test_probability_outside_zero_one_rejected(self, p):
+        # p = 1 has infinite odds: the law is undefined, not a division
+        # by zero.
+        with pytest.raises(ValueError, match=rf"p\[1\]={p} outside \[0, 1\)"):
+            product_form({0: 0.5, 1: p})
+
+    def test_zero_probability_has_zero_mass(self):
+        assert product_form({0: 0.0, 1: 0.5}).prob(0) == 0.0
+
     def test_matches_solved_chain_and_ignores_alpha(self):
         rng = np.random.default_rng(0)
         for channel in ((1, 1), (0, 1), (1, 0, 1), (0, 1, 1)):

@@ -6,7 +6,8 @@ import pytest
 
 from relaysim import (IDLE, NetworkParams, QueueState, decision_distribution,
                       feasible_schedules, run_contention)
-from relaysim.contention import contenders, elect, elect_rows, sampled_decision
+from relaysim.contention import (contenders, elect, elect_rows,
+                                 sample_option, sampled_decision)
 from relaysim.core import transmitters
 from relaysim.rng import RngStream
 
@@ -174,12 +175,12 @@ def test_elect_rows_equals_elect_up_to_the_largest_window(values):
         for row, c in zip(u.tolist(), channels.astype(int).tolist())]
 
 
-@pytest.mark.parametrize("values", [1, 2, 33, 2**53])
+@pytest.mark.parametrize("values", [1, 2, 33, 2**53, 3, 2**53 - 1])
 def test_elect_clamp_at_the_largest_stream_uniform(values):
     """At 1 - 2**-53, the largest uniform a stream serves, the backoff draw
-    is values - 1 without the clamp, so elect's comparison clamp, the old
-    min(int(u * values), values - 1) form and elect_rows pick the same
-    winner, row by row."""
+    int(u * values) is values - 1 for every values up to 2**53, so elect
+    and elect_rows, which take that draw as it is, pick the winner of the
+    clamped min(int(u * values), values - 1) form, row by row."""
     top = 1.0 - 2.0**-53
     assert int(top * values) == values - 1
     u = RngStream(7, "contention").uniform_matrix(300, 4)
@@ -200,3 +201,13 @@ def test_elect_clamp_at_the_largest_stream_uniform(values):
     assert [-1 if (w := elect(row, transmitters(c), values)) is IDLE else w
             for row, c in zip(u.tolist(),
                               channels.astype(int).tolist())] == expected
+
+
+@pytest.mark.parametrize("count", range(1, 13))
+def test_sample_option_stays_in_range_at_the_stream_extremes(count):
+    """sample_option takes int(u * count) as its index: the last option at
+    the largest uniform a stream serves, 1 - 2**-53, the first at 0.0."""
+    options = tuple(range(100, 100 + count))
+    stream = FakeStream([1.0 - 2.0**-53, 0.0])
+    assert sample_option(options, stream) == options[-1]
+    assert sample_option(options, stream) == options[0]

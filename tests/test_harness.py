@@ -302,6 +302,36 @@ if __name__ == "__main__":
         out = json.loads(run_probe(script).stdout)
         assert out == {"equal": True, "errors": [False] * 9 + [True]}
 
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # A stand-in pool runs the parts in this process and records the
+        # size asked for; no real process is started.
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = make_config(horizon=400, n_seeds=2)
+        grid = box_grid(3, 0.4, 0.4)
+        serial = sweep_grid(cfg, grid, workers=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep_grid(cfg, grid, workers=1000) == serial
+        assert sweep_grid(cfg, grid, workers=2) == serial
+        assert asked == [3, 2]
+
     def test_zero_load_grid_all_stable(self):
         cfg = make_config(horizon=400, n_seeds=2)
         rows = sweep_grid(cfg, [(0.0, 0.0), (0.0, 0.0)])
