@@ -18,14 +18,15 @@ relay whose channel is OFF, which wastes the slot; a channel-aware one
 that schedules one makes apply_slot raise.
 
 sweep_grid cuts all (grid point x seed) runs once into contiguous parts of
-at most MAX_BATCH_LANES lanes, and at least one per worker. Each part is
-one lanes.lane_outcomes call, which gives each lane the mean backlog,
-final backlog and verdict of the RunResult run_once gives: it advances mws
-and rqcsma lanes in numpy lockstep, reading those three from the lane
-arrays, and runs the channel-blind baselines' lanes (qcsma, ub) through
-run_once, one at a time. The calling process builds every row from them,
-so sweep rows do not depend on the worker count and no pool worker
-computes an interval or imports scipy.
+at most MAX_BATCH_LANES lanes, and at least one per process (the worker
+count, capped at the CPU count). Each part is one lanes.lane_outcomes call,
+which gives each lane the mean backlog, final backlog and verdict of the
+RunResult run_once gives: it advances mws lanes and rqcsma's
+contention-mode lanes in numpy lockstep, reading those three from the lane
+arrays, and runs every other lane (rqcsma in sampler mode and the
+channel-blind baselines qcsma and ub) through run_once, one at a time. The
+calling process builds every row from them, so sweep rows do not depend on
+the worker count and no pool worker computes an interval or imports scipy.
 """
 
 from __future__ import annotations
@@ -437,15 +438,15 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     """Independent seeded runs per grid point (a list of full rate vectors).
 
     Every (point, seed) run of the valid points is one lane, listed in grid
-    and seed order. The lanes are cut once into contiguous parts, at least
-    `workers` and at most MAX_BATCH_LANES lanes each but never more parts
-    than lanes, and each part is one lanes.lane_outcomes call, in a pool of
-    up to `workers` processes, but no more than the CPU count, when there
-    are two or more. The parts return only what a row reads of each run,
-    and the rows are built here in grid order, so each run equals run_once
-    and the rows are identical for every worker count. A point that fails
-    validation is reported with an "error" field instead of aborting the
-    sweep.
+    and seed order. The sweep runs in up to `workers` processes, but no
+    more than the CPU count; its lanes are cut once into contiguous parts,
+    at least one per process and at most MAX_BATCH_LANES lanes each but
+    never more parts than lanes, and each part is one lanes.lane_outcomes
+    call, in a process pool when there are two or more processes. The
+    parts return only what a row reads of each run, and the rows are built
+    here in grid order, so each run equals run_once and the rows are
+    identical for every worker count. A point that fails validation is
+    reported with an "error" field instead of aborting the sweep.
     """
     from .lanes import lane_outcomes  # lanes builds on this module
 
@@ -460,11 +461,12 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
             continue
         lanes += [(tuple(lam), seed) for seed in seeds]
 
+    n_procs = min(workers, os.cpu_count() or 1)
     # one empty part when no point is valid
     n_parts = max(1, min(len(lanes),
-                         max(workers, -(-len(lanes) // MAX_BATCH_LANES))))
+                         max(n_procs, -(-len(lanes) // MAX_BATCH_LANES))))
     parts = _even_split(lanes, n_parts)
-    n_procs = min(workers, n_parts, os.cpu_count() or 1)
+    n_procs = min(n_procs, n_parts)
     if n_procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_procs) as pool:

@@ -18,12 +18,15 @@ engine's arrays without building a RunResult; run, boundary-oracle and
 run_seeds stay on run_once, which is faster for the few lanes they run at
 a time.
 
-The engine runs the two schedulers the paper compares, mws (the centralized
-optimum) and rqcsma (the distributed scheme), under the realized channels.
-run_lanes runs every lane of the channel-blind baselines qcsma and ub
-through run_once, where their rules already live (the all-ON rule channel,
-ub's backoff election over the backlogged nodes and the OFF-relay waste of
-a blind schedule), as it does above MAX_TABLE_RELAYS relays.
+The engine runs the two schedulers the paper compares under the realized
+channels: mws (the centralized optimum) in either decision mode, since it
+draws no decision, and rqcsma (the distributed scheme) in contention mode,
+whose decisions are the per-block backoff elections. run_lanes runs every
+other lane through run_once, where its rules already live: rqcsma's
+sampler-mode decisions, the channel-blind baselines qcsma and ub (the
+all-ON rule channel, ub's backoff election over the backlogged nodes and
+the OFF-relay waste of a blind schedule), and any lane above
+MAX_TABLE_RELAYS relays.
 
 Per-lane state (the queues and action backlogs have one row per queue or
 node and one column per lane, so that each row's lanes are contiguous):
@@ -38,12 +41,13 @@ node and one column per lane, so that each row's lanes are contiguous):
 - channels, arrivals and elections: drawn per distinct seed in blocks of
   BLOCK_SLOTS slots (sample_channel_matrix, the arrival and contention
   streams' uniforms) and stacked with a seed axis. What follows from them
-  alone (contenders, elections, memory-cell indices, sampler options) is
-  computed per seed, then expanded to a lane axis by one gather; a lane's
-  arrivals compare its seed's uniforms with the lane's own per-node
-  thresholds in one array operation.
-- scheduler stream: a buffer of each lane's next values and a cursor into
-  it; a lane advances its cursor only where run_once would draw.
+  alone (contenders, elections, memory-cell indices) is computed per seed,
+  then expanded to a lane axis by one gather; a lane's arrivals compare
+  its seed's uniforms with the lane's own per-node thresholds in one array
+  operation.
+- scheduler stream: a buffer of each lane's next activation coins, one
+  block's worth, and a cursor into it; a lane advances its cursor only
+  where run_once would draw.
 - activation probabilities: a table of activation_probability(gain * b)
   over integer backlogs b, so every coin compares against the value
   run_once computes.
@@ -83,11 +87,10 @@ from .scheduling import activation_probability
 
 # Largest relay count with a dense per-realization table (2^(N+1) cells).
 MAX_TABLE_RELAYS = 10
-# The schedulers the engine runs; run_lanes runs the others through run_once.
-LANE_SCHEDULERS = ("mws", "rqcsma")
-# Scheduler-stream values a lane can take per slot: a sampler-mode decision
-# uniform plus an activation coin.
-_COIN_BUFFER = 2 * BLOCK_SLOTS + 1
+# Scheduler-stream values a lane holds per block: at most one activation
+# coin per slot, and the cursor, which the slot loop reads whether or not
+# the lane draws, can rest one past the block's last coin.
+_COIN_BUFFER = BLOCK_SLOTS + 1
 
 
 def activation_table(gain, size):
@@ -158,9 +161,13 @@ def _lane_list(lanes):
 
 
 def _on_engine(config):
-    """Whether the lane engine runs `config`'s lanes (else run_once)."""
-    return (config.scheduler in LANE_SCHEDULERS
-            and config.params.n_relays <= MAX_TABLE_RELAYS)
+    """Whether the lane engine runs `config`'s lanes (else run_once): mws in
+    either decision mode and rqcsma in contention mode, up to
+    MAX_TABLE_RELAYS relays."""
+    return (config.params.n_relays <= MAX_TABLE_RELAYS
+            and (config.scheduler == "mws"
+                 or config.scheduler == "rqcsma"
+                 and config.decision_mode == "contention"))
 
 
 def _simulate(config, lanes):
@@ -175,8 +182,7 @@ def _simulate(config, lanes):
     lane_params = [replace(params, lam=lam) for lam, _ in lanes]
     seeds = [seed for _, seed in lanes]
     horizon = config.horizon
-    rqcsma = config.scheduler == "rqcsma"  # else mws
-    sampler = rqcsma and config.decision_mode == "sampler"
+    rqcsma = config.scheduler == "rqcsma"  # in contention mode; else mws
     window = params.contention_window
     gain = params.activation_gain
     n_lanes = len(seeds)
@@ -218,7 +224,7 @@ def _simulate(config, lanes):
     # With one relay the source always forwards to its Q_01.
     target = relayed_at
 
-    def index(x, lanes=lane):
+    def index(x):
         """The flat index (x + 1) * n_lanes + lane that holds a lane's
         schedule x (-1 for Idle); it reads the tables below: the queue
         node x serves first and, for a relay, its relayed queue Q_0i
@@ -226,7 +232,7 @@ def _simulate(config, lanes):
         action backlog (Idle's row stays 0)."""
         at = np.add(x, 1)
         at *= n_lanes
-        at += lanes
+        at += lane
         return at
 
     own_at = (np.array([zero, *range(n)])[:, None] * n_lanes + lane).ravel()
@@ -279,31 +285,18 @@ def _simulate(config, lanes):
         realization = realization_keys(channels)  # (slots, seeds)
         seen[seed_rows, realization] = True
         contends = contenders(channels)
-        if not rqcsma:
-            mws_mask = per_lane(contends.swapaxes(1, 2).astype(np.int64), 2)
-        elif not sampler:
-            decision_at = index(per_lane(elect_rows(np.stack(
-                [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=1), window + 1, contends), 1))
         c0_off = per_lane((channels[:, :, 0] == 0).astype(np.int64), 1)
         # The source forwards what it serves from Q_0 (flat index `lane`)
         # only when its channel is OFF.
         forward_from = np.where(c0_off == 1, lane, -1)
         moves[:n_slots] = sink_at
-        if rqcsma:
+        if not rqcsma:
+            mws_mask = per_lane(contends.swapaxes(1, 2).astype(np.int64), 2)
+        else:
+            decision_at = index(per_lane(elect_rows(np.stack(
+                [s.contention.uniform_matrix(n_slots, n) for s in streams],
+                axis=1), window + 1, contends), 1))
             cell_at = per_lane(realization, 1) + lane * cells
-        if sampler:
-            # Options of sampled_decision: Idle, then the transmitters that
-            # `contenders` marks, in index order; option k of (slot, lane)
-            # row r at options[r * (n + 1) + k].
-            nodes = np.sort(np.where(contends, np.arange(n), n), axis=-1)
-            head = np.full(nodes.shape[:-1] + (1,), -1)
-            options = index(per_lane(np.concatenate(
-                (head, nodes), axis=-1), 1), lane[:, None]).reshape(-1)
-            row = (np.arange(n_slots * n_lanes) * (n + 1)).reshape(
-                n_slots, n_lanes)
-            option_scale = per_lane(contends.sum(axis=-1) + 1.0, 1)
-        if rqcsma:
             _refill(buf, at - b_row, coins)
             at = b_row.copy()
             # An action backlog is at most the total backlog, which grows
@@ -335,19 +328,11 @@ def _simulate(config, lanes):
                 multiply(x, width, out=x)
                 add(x, idle, out=x)
             else:
-                if sampler:
-                    u = bflat[at]
-                    at += ones
-                    multiply(u, option_scale[t], out=u)
-                    k = u.astype(np.int64)
-                    add(k, row[t], out=k)
-                    d = options[k]
-                else:
-                    d = decision_at[t]
                 # _csma_step on the realization's memory cell: an Idle
                 # decision or a different held node keeps the held
                 # schedule; else the decision node draws a coin when its
                 # action backlog (0 for Idle) is positive.
+                d = decision_at[t]
                 cell = cell_at[t]
                 x = memory[cell]
                 need = (x == d) | (x == idle)
@@ -392,7 +377,6 @@ def _simulate(config, lanes):
         channels = realization = contends = arrived = arrivals = None
         c0_off = forward_from = None
         cell_at = mws_mask = decision_at = None
-        nodes = options = row = option_scale = None
 
     return lane_params, traj, acc, per_lane(seen.sum(axis=1), 0).tolist()
 

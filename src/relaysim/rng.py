@@ -22,9 +22,10 @@ arrivals and the rqcsma and qcsma contention elections in blocks of slots
 each block is bit-identical to the same slots drawn one at a time. The
 ub election, whose contenders are the backlogged nodes, and the scheduler
 stream depend on the queues, and run_once draws them slot by slot. The
-lane engine (lanes.run_lanes) runs mws and rqcsma, whose contention draws
-are blocks like run_once's, and reads each lane's scheduler stream from a
-buffer, in the same order; it runs qcsma and ub lanes through run_once.
+lane engine (lanes.run_lanes) runs mws and rqcsma's contention mode, whose
+contention draws are blocks like run_once's, and reads each lane's
+activation coins from a buffer, in the same order; it runs rqcsma's
+sampler-mode lanes and qcsma and ub lanes through run_once.
 
 Because the streams are positional and those three counts fixed, runs
 with the same seed, relay count and a_max draw the same channel, arrival

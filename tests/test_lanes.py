@@ -14,7 +14,9 @@ from relaysim import ExperimentConfig, NetworkParams, run_once, run_seeds
 from relaysim import harness, lanes as lane_engine
 from relaysim.harness import (BLOCK_SLOTS, aggregate_ci, box_grid,
                               stable_fraction, sweep_grid)
-from relaysim.lanes import MAX_TABLE_RELAYS, activation_table, run_lanes
+from relaysim.lanes import (MAX_TABLE_RELAYS, activation_table,
+                            lane_outcomes, run_lanes)
+from relaysim.rng import RunStreams
 from relaysim.scheduling import activation_probability
 
 SCHEDULERS = ("mws", "rqcsma", "qcsma", "ub")
@@ -71,14 +73,18 @@ def test_lanes_equal_run_once(scheduler, mode, n_relays, a_max):
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_blind_baselines_run_through_run_once(monkeypatch, scheduler, mode,
                                               n_relays):
-    """qcsma and ub lanes never reach the lane engine's slot loop; mws and
-    rqcsma lanes do. Either way every lane equals run_once."""
+    """qcsma, ub and rqcsma's sampler-mode lanes never reach the lane
+    engine's slot loop; mws lanes in either mode and rqcsma's
+    contention-mode lanes do. Either way every lane equals run_once."""
     simulate = lane_engine._simulate
     calls = []
+    on_engine = scheduler == "mws" or (scheduler, mode) == ("rqcsma",
+                                                            "contention")
 
     def spy(*args):
-        if scheduler not in ("mws", "rqcsma"):
-            raise AssertionError(f"{scheduler} reached lanes._simulate")
+        if not on_engine:
+            raise AssertionError(f"{scheduler} in {mode} mode reached "
+                                 "lanes._simulate")
         calls.append(args)
         return simulate(*args)
 
@@ -91,7 +97,31 @@ def test_blind_baselines_run_through_run_once(monkeypatch, scheduler, mode,
                               decision_mode=mode)
     lanes = [(lam, 9 + k % 2) for k, lam in enumerate(lane_rates(n_relays, 1))]
     assert_lanes_equal_run_once(config, lanes)
-    assert len(calls) == (scheduler in ("mws", "rqcsma"))
+    assert len(calls) == on_engine
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_coin_in_every_slot_but_the_first(monkeypatch, seed):
+    """An rqcsma lane whose source is always ON and always gets a packet
+    draws an activation coin in every slot but the first, as many as a
+    block has slots in each full block after the first; the lane still
+    equals run_once."""
+    assert lane_engine._COIN_BUFFER == BLOCK_SLOTS + 1
+    opened = []
+
+    class Streams(RunStreams):
+        def __init__(self, seed):
+            super().__init__(seed)
+            opened.append(self)
+
+    monkeypatch.setattr(harness, "RunStreams", Streams)
+    horizon = 3 * BLOCK_SLOTS + 5
+    params = NetworkParams(n_relays=1, rho=(1.0, 0.0), lam=(1.0, 0.0))
+    config = ExperimentConfig(params=params, scheduler="rqcsma",
+                              horizon=horizon, n_seeds=1,
+                              decision_mode="contention")
+    assert_lanes_equal_run_once(config, [(params.lam, seed)])
+    assert [s.scheduler.position for s in opened] == [horizon - 1]
 
 
 def test_largest_drawable_window():
@@ -208,9 +238,11 @@ def per_point_rows(config, grid):
 
 
 @pytest.mark.parametrize("scheduler,n_seeds", [("rqcsma", 3), ("ub", 1)])
-def test_sweep_rows_equal_per_point_runs(scheduler, n_seeds):
+def test_sweep_rows_equal_per_point_runs(monkeypatch, scheduler, n_seeds):
     """Seven valid points (two and three workers do not divide them) around
-    an invalid one in the middle."""
+    an invalid one in the middle. Three CPUs, so that three workers cut
+    three parts on any host."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0),
                            seed=11)
     config = ExperimentConfig(params=params, scheduler=scheduler,
@@ -234,6 +266,28 @@ def test_sweep_batch_split_into_calls(monkeypatch, max_lanes):
                               horizon=300, n_seeds=3)
     grid = [(0.1, 0.2), (0.3, 0.1), (1.5, 0.0), (0.5, 0.3), (0.2, 0.6)]
     assert sweep_grid(config, grid) == per_point_rows(config, grid)
+
+
+def test_sweep_parts_cut_by_the_capped_process_count(monkeypatch):
+    """On one CPU, eight workers run the sweep in one process, as one part
+    of its 24 lanes, and give the rows of one worker."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    parts = []
+
+    def spy(config, lanes):
+        parts.append(len(lanes))
+        return lane_outcomes(config, lanes)
+
+    monkeypatch.setattr(lane_engine, "lane_outcomes", spy)
+    params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0),
+                           seed=5)
+    config = ExperimentConfig(params=params, scheduler="rqcsma",
+                              horizon=200, n_seeds=3)
+    grid = box_grid(3, 0.6, 0.7)[:8]
+    rows = sweep_grid(config, grid, workers=8)
+    assert parts == [24]
+    assert rows == sweep_grid(config, grid, workers=1)
+    assert rows == per_point_rows(config, grid)
 
 
 def test_sweep_of_invalid_points_only():

@@ -1,12 +1,13 @@
-"""Sweep rows against per-point runs on the lane-engine paths: mws, sampler
-mode and three relays.
+"""Sweep rows against per-point runs: the lane-engine paths (mws and
+rqcsma's contention mode, at one and three relays) and rqcsma's sampler
+mode, which the lane engine leaves to run_once.
 
-sweep_grid runs mws and rqcsma lanes through the lane engine
-(lanes.lane_outcomes), which reads each lane's mean backlog, final backlog
-and verdict from its arrays; per-point run_seeds runs each seed on
-run_once. The rows must be equal at a horizon whose trajectories are too
-short to classify and at one that spans two blocks, for one and two
-workers.
+sweep_grid runs mws lanes and rqcsma's contention-mode lanes through the
+lane engine (lanes.lane_outcomes), which reads each lane's mean backlog,
+final backlog and verdict from its arrays, and rqcsma's sampler-mode lanes
+through run_once; per-point run_seeds runs each seed on run_once. The rows
+must be equal at a horizon whose trajectories are too short to classify
+and at one that spans two blocks, for one and two workers.
 """
 
 import pytest
@@ -40,7 +41,7 @@ def test_sweep_rows_equal_per_point_runs(case, horizon):
     config = ExperimentConfig(params=params, scheduler=scheduler,
                               horizon=horizon, n_seeds=3,
                               decision_mode=mode)
-    assert _on_engine(config)
+    assert _on_engine(config) == (mode == "contention")
     expected = per_point_rows(config, grid)
     # Every row is unclassified at 99 slots and classified past a block.
     assert {row["stable_fraction"] is None for row in expected} == {

@@ -68,7 +68,7 @@ SCHEDULERS = ("mws", "rqcsma", "qcsma", "ub")
 RELAYS = (1, 3, 8)
 SCALAR_HORIZON = 20_000
 LANE_COUNTS = (3, 12, 24, 48)
-LANE_SCHEDULERS = ("mws", "rqcsma")  # lanes.LANE_SCHEDULERS
+LANE_SCHEDULERS = ("mws", "rqcsma")  # what lanes._on_engine runs
 LANE_HORIZON = 10_000
 TRACE_HORIZON = 20_000
 TRACE_RHO = (0.4, 0.7)
