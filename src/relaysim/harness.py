@@ -27,6 +27,11 @@ arrays, and runs every other lane (rqcsma in sampler mode and the
 channel-blind baselines qcsma and ub) through run_once, one at a time. The
 calling process builds every row from them, so sweep rows do not depend on
 the worker count and no pool worker computes an interval or imports scipy.
+
+aggregate_ci's Student-t quantile for up to MAX_TABLED_SEEDS values is read
+from _T_QUANTILES, scipy.special.stdtrit's own values (the tests check each
+entry bit for bit against the installed scipy), so runs and sweeps of up to
+that many seeds never import scipy.special; only a larger count does.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ MAX_MASK_NODES = 63
 # Baseline, lane engine).
 MAX_BATCH_LANES = 256
 CI_LEVEL = 0.90  # level of aggregate_ci's two-sided Student-t interval
+# Most values whose interval quantile _T_QUANTILES holds.
+MAX_TABLED_SEEDS = 64
 
 
 @dataclass
@@ -383,11 +390,42 @@ def run_seeds(config: ExperimentConfig, *, sink=None):
                       for k in range(1, config.n_seeds)]
 
 
+# float(scipy.special.stdtrit(n - 1, 0.5 + CI_LEVEL / 2)) for n = 2 ..
+# MAX_TABLED_SEEDS, as scipy 1.17.1 gives it.
+_T_QUANTILES = (
+    6.313751514675037, 2.9199855803537242, 2.3533634348018233,
+    2.1318467863266495, 2.0150483733330233, 1.9431802805153042,
+    1.8945786050900062, 1.8595480375308973, 1.833112932656237,
+    1.8124611228116756, 1.7958848187040433, 1.782287555649319,
+    1.7709333959868725, 1.761310135774891, 1.753050355692572,
+    1.7458836762762495, 1.7396067260750725, 1.7340636066175388,
+    1.7291328115213682, 1.7247182429207866, 1.720742902811878,
+    1.7171443743802424, 1.713871527747048, 1.710882079909428,
+    1.7081407612518986, 1.7056179197592727, 1.7032884457221265,
+    1.7011309342659313, 1.6991270265334972, 1.697260886593957,
+    1.6955187825458649, 1.6938887483837102, 1.6923603090303438,
+    1.6909242551868546, 1.6895724577802655, 1.6882977141168156,
+    1.6870936195962631, 1.6859544601667371, 1.6848751217112248,
+    1.683851013335652, 1.682878002132708, 1.6819523574675337,
+    1.681070703202519, 1.6802299765721167, 1.6794273926523544,
+    1.678660413556865, 1.6779267216418607, 1.6772241961243388,
+    1.6765508926168535, 1.675905025163097, 1.67528495042491,
+    1.6746891537260253, 1.6741162367031004, 1.6735649063521605,
+    1.673033965289911, 1.6725223030755771, 1.6720288884609522,
+    1.6715527624548587, 1.6710930321038946, 1.6706488649046363,
+    1.6702194837737365, 1.6698041625120112, 1.6694022217068127,
+)
+
+
 @cache
 def _t_quantile(n):
     """aggregate_ci's Student-t quantile for n values (n - 1 degrees of
-    freedom). scipy.special is imported here, on the first call, because it
-    takes most of relaysim's start-up and only intervals need it."""
+    freedom): stdtrit's value, read from _T_QUANTILES for 2 to
+    MAX_TABLED_SEEDS values. Above that, scipy.special is imported here, on
+    the first such call, because it costs more start-up time and memory
+    than the rest of relaysim."""
+    if n <= MAX_TABLED_SEEDS:
+        return _T_QUANTILES[n - 2]
     from scipy.special import stdtrit
     return float(stdtrit(n - 1, 0.5 + CI_LEVEL / 2.0))
 
@@ -396,8 +434,10 @@ def aggregate_ci(values):
     """Student-t confidence interval on per-seed values: (mean, half-width).
 
     The level is fixed at CI_LEVEL, 90%. The quantile is scipy.special's
-    stdtrit, which scipy.stats.t.ppf calls; scipy.special is imported on the
-    first call and the quantile is cached per seed count.
+    stdtrit, which scipy.stats.t.ppf calls. For up to MAX_TABLED_SEEDS
+    values it is read from a table of stdtrit's own values; for more,
+    scipy.special is imported on the first such call. The quantile is
+    cached per value count.
     """
     values = list(values)
     n = len(values)

@@ -741,13 +741,16 @@ seen["boundary_oracle"] = late()
 cli.main(["run", "--seeds", "1", "--horizon", "300", "--out", sys.argv[1]])
 seen["run --seeds 1"] = late()
 ci = harness.aggregate_ci([0.0, 2.0])
-print(json.dumps({"seen": seen, "ci": ci,
-                  "special": "scipy.special" in sys.modules}))
+special = {"2 values": "scipy.special" in sys.modules}
+harness.aggregate_ci(range(65))
+special["65 values"] = "scipy.special" in sys.modules
+print(json.dumps({"seen": seen, "ci": ci, "special": special}))
 """
 
 
 def test_start_up_imports_no_scipy_or_process_pool(tmp_path):
-    # scipy.special is most of start-up; only an interval needs it
+    # scipy.special is most of start-up; only an interval of more than
+    # harness.MAX_TABLED_SEEDS values needs it
     src = Path(relaysim.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", START_UP_PROBE, str(tmp_path / "run.json")],
@@ -757,8 +760,51 @@ def test_start_up_imports_no_scipy_or_process_pool(tmp_path):
     assert probe["seen"] == {"import": [], "run_seeds": [],
                              "boundary_oracle": [], "run --seeds 1": []}
     from scipy.special import stdtrit
-    assert probe["special"]
+    assert probe["special"] == {"2 values": False, "65 values": True}
     assert probe["ci"] == [1.0, float(stdtrit(1, 0.95))]
+
+
+MULTI_SEED_PROBE = """
+import json, sys
+from relaysim import ExperimentConfig, NetworkParams, cli, harness
+
+def late():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+cfg = ExperimentConfig(params=NetworkParams(n_relays=1, rho=(0.4, 0.7),
+                                            lam=(0.0, 0.0), seed=5),
+                       horizon=400, n_seeds=3)
+rows = harness.sweep_grid(cfg, harness.box_grid(3, 0.4, 0.4), workers=2)
+seen = {"sweep_grid": late()}
+cli.main(["run", "--seeds", "2", "--horizon", "300", "--out", sys.argv[1]])
+seen["run --seeds 2"] = late()
+cli.main(["sweep", "--grid", "2", "--seeds", "3", "--horizon", "300",
+          "--workers", "2", "--out", sys.argv[2]])
+seen["sweep --seeds 3"] = late()
+harness.aggregate_ci(range(harness.MAX_TABLED_SEEDS))
+seen["aggregate_ci"] = late()
+print(json.dumps({"seen": seen, "ci_half": [r["ci_half"] for r in rows]}))
+"""
+
+
+def test_multi_seed_runs_and_sweeps_import_no_scipy(tmp_path):
+    # intervals of up to harness.MAX_TABLED_SEEDS values read the quantile
+    # table, so multi-seed runs and sweeps never load scipy
+    src = Path(relaysim.__file__).resolve().parents[1]
+    run, sweep = tmp_path / "run.json", tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", MULTI_SEED_PROBE, str(run), str(sweep)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    probe = json.loads(proc.stdout)
+    assert probe["seen"] == {"sweep_grid": [], "run --seeds 2": [],
+                             "sweep --seeds 3": [], "aggregate_ci": []}
+    assert len(probe["ci_half"]) == 9 and any(probe["ci_half"])
+    assert json.loads(run.read_text())["q_avg_ci90_half"] >= 0.0
+    table = [line.split(",") for line in read_lines(sweep)
+             if not line.startswith("#")]
+    assert table[0][-1] == "ci_half" and len(table) == 5
+    assert any(float(row[-1]) for row in table[1:])
 
 
 @pytest.mark.parametrize("text", [",", ""])

@@ -145,6 +145,21 @@ class TestAggregateCi:
             half = t * sd / math.sqrt(n)
             assert aggregate_ci(values) == (float(np.mean(values)), half)
 
+    def test_quantile_table_is_stdtrit_bit_for_bit(self):
+        # A scipy whose stdtrit rounds differently fails here, naming each
+        # count with the table's value and scipy's.
+        from scipy.special import stdtrit
+
+        level = 0.5 + harness.CI_LEVEL / 2
+        table = harness._T_QUANTILES
+        assert len(table) == harness.MAX_TABLED_SEEDS - 1
+        pairs = [(n, t, float(stdtrit(n - 1, level)))
+                 for n, t in enumerate(table, start=2)]
+        differ = [(n, t, s) for n, t, s in pairs if t != s]
+        assert differ == [], "(n, table, stdtrit): " + repr(differ)
+        above = harness.MAX_TABLED_SEEDS + 1
+        assert harness._t_quantile(above) == float(stdtrit(above - 1, level))
+
 
 class TestRunOnce:
     def test_empty_offered_load(self):
@@ -224,7 +239,9 @@ class TestSweep:
 
     def test_pooled_workers_inherit_the_quantile(self, tmp_path):
         # A fresh process, so the quantile is not cached yet; each stdtrit
-        # call logs its process id, and the pooled sweep runs first.
+        # call logs its process id, and the pooled sweep runs first. 65
+        # seeds is the first count above harness.MAX_TABLED_SEEDS, so the
+        # quantile comes from scipy.
         probe = """
 import json, os, sys
 import scipy.special
@@ -238,7 +255,7 @@ def logged(df, p):
 scipy.special.stdtrit = logged
 cfg = ExperimentConfig(params=NetworkParams(n_relays=1, rho=(0.4, 0.7),
                                             lam=(0.0, 0.0), seed=5),
-                       horizon=400, n_seeds=3)
+                       horizon=400, n_seeds=65)
 grid = box_grid(3, 0.4, 0.4)
 pooled = sweep_grid(cfg, grid, workers=2)
 serial = sweep_grid(cfg, grid, workers=1)
