@@ -328,10 +328,11 @@ def _simulate(config, lanes):
                 multiply(x, width, out=x)
                 add(x, idle, out=x)
             else:
-                # _csma_step on the realization's memory cell: an Idle
-                # decision or a different held node keeps the held
-                # schedule; else the decision node draws a coin when its
-                # action backlog (0 for Idle) is positive.
+                # scheduling._csma_step, every lane at once, on its
+                # realization's memory cell: an Idle decision or a
+                # different held node keeps the held schedule; else the
+                # decision node draws a coin when its action backlog (0 for
+                # Idle) is positive, against activation_table.
                 d = decision_at[t]
                 cell = cell_at[t]
                 x = memory[cell]

@@ -25,22 +25,24 @@ Q_01..Q_0N]: a QueueState, or the list of ints run_once keeps, so the rule
 a test calls is the rule a run executes.
 
 action_backlog and differential_backlog define the action-backlog rule,
-and activation_probability the activation law; tests, analysis and
-lanes.activation_table read them. The four steps evaluate them inline,
-with no helper call per slot or per node: mws_step all of the rule,
-ub_step its "backlog > 0" test under an all-ON channel, rqcsma_step the
-decision node's action backlog under the realized channel and qcsma_step
-it under an all-ON channel, each CSMA step then its activation coin
-against the logistic expression activation_probability evaluates.
-tests/test_rule_equivalence.py pins each to the rule: mws_step to the
-argmax of action_backlog over core.transmitters(channel) for N in
-{1, 2, 3, 8}, and rqcsma_step, qcsma_step and ub_step to the old rules in
-tests/legacy_rules.py (which call action_backlog and
-activation_probability), decision for decision and coin for coin.
-tests/test_scheduling.py pins rqcsma_step's edges: an infeasible decision
-raises whatever its cell holds, an Idle decision writes its cell, and a
-CSMA step whose activation probability is exactly 1.0 still draws one
-coin.
+and activation_probability the activation law. Tests read all three;
+_csma_step and lanes.activation_table call activation_probability, the one
+place the logistic is written. _csma_step is the carrier-sense rule: the
+Idle/defer test, the decision node's action backlog under the given
+channel read from the row, and one activation coin. rqcsma_step runs it on
+the realized channel's memory cell, and qcsma_step under an all-ON channel
+on the previous slot's schedule. mws_step evaluates the action-backlog
+rule inline, and ub_step its "backlog > 0" test under an all-ON channel,
+with no helper call per node. tests/test_rule_equivalence.py pins each
+step to the rule: mws_step to the argmax of action_backlog over
+core.transmitters(channel) for N in {1, 2, 3, 8}, and rqcsma_step,
+qcsma_step and ub_step to the old rules in tests/legacy_rules.py (which
+call action_backlog and activation_probability), decision for decision and
+coin for coin. tests/test_scheduling.py pins rqcsma_step's edges: an
+infeasible decision raises whatever its cell holds, an Idle decision
+writes its cell, and a CSMA step whose activation probability is exactly
+1.0 still draws one coin. It also checks that qcsma_step is rqcsma_step
+under an all-ON channel, decision for decision and coin for coin.
 """
 
 from __future__ import annotations
@@ -106,6 +108,34 @@ def mws_step(queues, channel, params: NetworkParams):
     return best
 
 
+def _csma_step(queues, channel, held, decision, params: NetworkParams,
+               rng):
+    """The carrier-sense rule both CSMA steps run; returns the schedule.
+
+    `held` is the schedule being maintained: the realization's memory cell
+    for rqcsma, the previous transmission for qcsma. With an Idle decision
+    the held schedule stays, and a decision node defers to a different held
+    node. Otherwise the decision node draws one activation coin, unless its
+    action backlog under `channel` is zero: a dummy packet cannot seize the
+    slot.
+    """
+    if decision is IDLE or (held is not IDLE and held != decision):
+        return held
+    # action_backlog of the decision node; at or below zero (its floor) no
+    # coin is drawn.
+    if decision != 0:
+        own, relayed = queues[decision], queues[decision + params.n_relays]
+        backlog = own if own >= relayed else relayed
+    elif channel[0]:
+        backlog = queues[0]
+    else:
+        backlog = queues[0] - min(queues[params.n_relays + 1:])
+    if backlog > 0 and rng.uniform() < activation_probability(
+            params.activation_gain * backlog):
+        return decision
+    return IDLE
+
+
 def rqcsma_step(queues, channel, memory: dict, decision,
                 params: NetworkParams, rng):
     """One channel-aware CSMA step; returns the schedule.
@@ -113,33 +143,14 @@ def rqcsma_step(queues, channel, memory: dict, decision,
     `memory` maps each channel realization to the schedule of its most
     recent slot; a realization never seen reads as Idle (IDLE is None). Only
     the cell of the realized channel vector is touched, and every step
-    writes it, an Idle decision's too. With an Idle decision the cell keeps
-    its schedule, and a decision node defers to a different held node.
-    Otherwise the decision node draws its activation coin, unless its
-    action backlog is zero: a dummy packet cannot seize the slot. A
-    decision node whose channel is OFF raises ValueError, whatever the cell
-    holds, and leaves `memory` unchanged.
+    writes it, an Idle decision's too. A decision node whose channel is OFF
+    raises ValueError, whatever the cell holds, and leaves `memory`
+    unchanged.
     """
     if decision is not IDLE and decision != 0 and not channel[decision]:
         raise ValueError(f"infeasible decision {decision} under {channel}")
-    x = memory.get(channel)
-    if decision is not IDLE and (x is IDLE or x == decision):
-        # action_backlog of the decision node; at or below zero (its floor)
-        # no coin is drawn.
-        m = params.n_relays
-        if decision != 0:
-            own, relayed = queues[decision], queues[decision + m]
-            backlog = own if own >= relayed else relayed
-        elif channel[0]:
-            backlog = queues[0]
-        else:
-            backlog = queues[0] - min(queues[m + 1:])
-        x = IDLE
-        # activation_probability(activation_gain * backlog), inline
-        if backlog > 0 and rng.uniform() < 1.0 / (1.0 + math.exp(
-                -(params.activation_gain * backlog))):
-            x = decision
-    memory[channel] = x
+    x = memory[channel] = _csma_step(queues, channel, memory.get(channel),
+                                     decision, params, rng)
     return x
 
 
@@ -151,20 +162,8 @@ def qcsma_step(queues, channel, previous_x, decision,
     cell: the returned schedule may name a relay whose channel is OFF, in
     which case the data slot is wasted (the caller serves Idle).
     """
-    if decision is IDLE or (previous_x is not IDLE
-                            and previous_x != decision):
-        return previous_x
-    # action_backlog of the decision node under params.all_on
-    if decision != 0:
-        own, relayed = queues[decision], queues[decision + params.n_relays]
-        backlog = own if own >= relayed else relayed
-    else:
-        backlog = queues[0]
-    # activation_probability(activation_gain * backlog), inline
-    if backlog > 0 and rng.uniform() < 1.0 / (1.0 + math.exp(
-            -(params.activation_gain * backlog))):
-        return decision
-    return IDLE
+    return _csma_step(queues, params.all_on, previous_x, decision, params,
+                      rng)
 
 
 def ub_step(queues, channel, params: NetworkParams, rng):

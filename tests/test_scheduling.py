@@ -230,6 +230,39 @@ class TestQCsma:
         assert x == decision and rng.position == 1
 
 
+@st.composite
+def blind_slots(draw, n_relays):
+    """A qcsma slot: a backlog row, a realized channel with at least one
+    OFF relay, and a decision node or Idle."""
+    # backlogs up to 20 keep the activation probability below 0.99
+    row = draw(st.lists(st.integers(0, 20), min_size=2 * n_relays + 1,
+                        max_size=2 * n_relays + 1))
+    channel = draw(st.lists(st.integers(0, 1), min_size=n_relays + 1,
+                            max_size=n_relays + 1))
+    channel[draw(st.integers(1, n_relays))] = 0
+    decision = draw(st.one_of(st.none(), st.integers(0, n_relays)))
+    return row, tuple(channel), decision
+
+
+@pytest.mark.parametrize("n_relays", [1, 3, 8])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_qcsma_is_rqcsma_under_an_all_on_channel(n_relays, data, seed):
+    # The channel-blind rule is the channel-aware one with the realized
+    # channel replaced by all-ON and the previous schedule as the cell:
+    # equal schedules and equal coins, step after step.
+    params = params_for((0.5,) * (n_relays + 1))
+    blind, aware = RngStream(seed, "scheduler"), RngStream(seed, "scheduler")
+    held = data.draw(st.one_of(st.none(), st.integers(0, n_relays)))
+    for row, channel, decision in data.draw(
+            st.lists(blind_slots(n_relays), min_size=1, max_size=12)):
+        memory = {params.all_on: held}
+        x = rqcsma_step(row, params.all_on, memory, decision, params, aware)
+        assert qcsma_step(row, channel, held, decision, params, blind) == x
+        assert memory == {params.all_on: x}
+        assert blind.position == aware.position
+        held = x
+
+
 class TestUb:
     def setup_method(self):
         self.params = params_for((0.5, 0.5), contention_window=4)

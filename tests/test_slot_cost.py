@@ -7,6 +7,7 @@ regenerates BENCH_scalar.json. These tests load the tool from its source
 measurement, and check that bad LABEL=SRC arguments are refused up front.
 """
 
+import sys
 import types
 from pathlib import Path
 
@@ -18,6 +19,8 @@ import relaysim.lanes  # noqa: F401  (measure reaches rs.lanes.run_lanes)
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "slot_cost.py"
 KEPT = ("run_once_us_per_slot", "run_lanes_ns_per_lane_slot", "trace")
 DROPPED = ("startup", "boundary_oracle")
+# The schedulers lanes._on_engine runs at N = 1 in contention mode.
+ON_LANES = {"mws", "rqcsma"}
 
 
 @pytest.fixture
@@ -49,12 +52,12 @@ def test_measure_holds_every_kept_table(slot_cost):
                              for twin in ("", "_at_nominal_speed")}
     for twin in ("", "_at_nominal_speed"):
         per_slot = table["run_once_us_per_slot" + twin]
-        assert set(per_slot) == set(slot_cost.SCHEDULERS)
+        assert set(per_slot) == set(relaysim.scheduling.SCHEDULER_KINDS)
         for row in per_slot.values():
             assert set(row) == {"1"}
             assert_cell(row["1"])
         per_lane_slot = table["run_lanes_ns_per_lane_slot" + twin]
-        assert set(per_lane_slot) == set(slot_cost.LANE_SCHEDULERS)
+        assert set(per_lane_slot) == ON_LANES
         for row in per_lane_slot.values():
             assert set(row) == {"3"}
             assert_cell(row["3"])
@@ -66,8 +69,31 @@ def test_measure_holds_every_kept_table(slot_cost):
         assert_cell(row["traced"])
         assert row["traced_over_untraced"] > 0
     assert len(speeds) == slot_cost.REPEATS * (
-        len(slot_cost.SCHEDULERS) + len(slot_cost.LANE_SCHEDULERS) + 2)
+        len(relaysim.scheduling.SCHEDULER_KINDS) + len(ON_LANES) + 2)
     assert all(speed > 0 for speed in speeds)
+
+
+def test_no_lane_row_for_a_scheduler_one_package_runs_off_lanes(
+        slot_cost, monkeypatch):
+    # a second copy of the package whose lane engine sends mws to run_once:
+    # mws lanes are no longer timed for either package
+    name = "relaysim_mws_off_lanes"
+    copy = slot_cost.load(name, Path(relaysim.__file__).parents[1])
+    try:
+        on_engine = copy.lanes._on_engine
+        monkeypatch.setattr(copy.lanes, "_on_engine", lambda config: (
+            config.scheduler != "mws" and on_engine(config)))
+        tables, _ = slot_cost.measure({"x": relaysim, "y": copy})
+    finally:
+        for module in [m for m in sys.modules
+                       if m.partition(".")[0] == name]:
+            del sys.modules[module]
+    assert relaysim.lanes._on_engine(slot_cost.lane_config(relaysim, "mws"))
+    for table in tables.values():
+        for twin in ("", "_at_nominal_speed"):
+            assert set(table["run_lanes_ns_per_lane_slot" + twin]) == (
+                ON_LANES - {"mws"})
+            assert "mws" in table["run_once_us_per_slot" + twin]
 
 
 @pytest.mark.parametrize("argument", ["foo", "a=/nonexistent"])

@@ -11,13 +11,14 @@ name, and the packages take turns on every measurement, so a drift in host
 speed reaches them alike. The table holds the CPU time (time.process_time)
 of:
 
-- run_once: microseconds per slot for each scheduler at N = 1, 3 and 8
+- run_once: microseconds per slot for each scheduler of
+  scheduling.SCHEDULER_KINDS that every package has, at N = 1, 3 and 8
   relays, horizon 2e4, contention decision mode;
-- lanes.run_lanes: nanoseconds per lane-slot for mws and rqcsma, the two
-  schedulers the lane engine runs (it runs qcsma and ub lanes through
-  run_once, which the first table already covers), at N = 1, horizon 1e4,
-  contention decision mode, with 3, 12, 24 and 48 lanes (one seed per
-  lane);
+- lanes.run_lanes: nanoseconds per lane-slot for each scheduler whose
+  lanes every package's lane engine runs (lanes._on_engine; the others'
+  lanes run through run_once, which the first table already covers), at
+  N = 1, horizon 1e4, contention decision mode, with 3, 12, 24 and 48
+  lanes (one seed per lane);
 - run_once at the shape of the benchmark's trace workload (rho = (0.4, 0.7),
   lambda = (0.5, 0.15), rqcsma in sampler mode, one seed), horizon
   TRACE_HORIZON: microseconds per slot with trace=True and a sink that
@@ -64,11 +65,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7
-SCHEDULERS = ("mws", "rqcsma", "qcsma", "ub")
 RELAYS = (1, 3, 8)
 SCALAR_HORIZON = 20_000
 LANE_COUNTS = (3, 12, 24, 48)
-LANE_SCHEDULERS = ("mws", "rqcsma")  # what lanes._on_engine runs
 LANE_HORIZON = 10_000
 TRACE_HORIZON = 20_000
 TRACE_RHO = (0.4, 0.7)
@@ -153,12 +152,25 @@ def run_once_call(rs, scheduler, n_relays):
     return lambda: rs.run_once(config, 1)
 
 
+def lane_config(rs, scheduler):
+    return rs.ExperimentConfig(params=network(rs, 1), scheduler=scheduler,
+                               horizon=LANE_HORIZON, n_seeds=1)
+
+
 def run_lanes_call(rs, scheduler, n_lanes):
-    params = network(rs, 1)
-    config = rs.ExperimentConfig(params=params, scheduler=scheduler,
-                                 horizon=LANE_HORIZON, n_seeds=1)
-    lanes = [(params.lam, seed) for seed in range(n_lanes)]
+    config = lane_config(rs, scheduler)
+    lanes = [(config.params.lam, seed) for seed in range(n_lanes)]
     return lambda: list(rs.lanes.run_lanes(config, lanes))
+
+
+def schedulers(packages):
+    """(The scheduler kinds of the first package that every package has,
+    those of them whose run_lanes rows every package's lane engine runs)."""
+    kinds = [rs.scheduling.SCHEDULER_KINDS for rs in packages.values()]
+    common = tuple(k for k in kinds[0] if all(k in other for other in kinds))
+    return common, tuple(
+        k for k in common if all(rs.lanes._on_engine(lane_config(rs, k))
+                                 for rs in packages.values()))
 
 
 def trace_run_call(rs, traced):
@@ -197,13 +209,14 @@ def measure(packages):
                     cells = cells.setdefault(part, {})
                 cells[key[-1]] = spread(value, scale, digits)
 
-    for scheduler in SCHEDULERS:
+    scalar_kinds, lane_kinds = schedulers(packages)
+    for scheduler in scalar_kinds:
         for n_relays in RELAYS:
             put("run_once_us_per_slot", (scheduler, str(n_relays)),
                 take_turns([run_once_call(rs, scheduler, n_relays)
                             for rs in packages.values()], speeds),
                 1e6 / SCALAR_HORIZON, 3)
-    for scheduler in LANE_SCHEDULERS:
+    for scheduler in lane_kinds:
         for n_lanes in LANE_COUNTS:
             put("run_lanes_ns_per_lane_slot", (scheduler, str(n_lanes)),
                 take_turns([run_lanes_call(rs, scheduler, n_lanes)
@@ -256,6 +269,7 @@ def main(argv=None):
     packages = {label: load(f"relaysim_{k}", src)
                 for k, (label, src) in enumerate(sources.items())}
     results, speeds = measure(packages)
+    lane_kinds = schedulers(packages)[1]
     hs = perfbench_hostspeed()
     doc = {
         "host": host(),
@@ -277,11 +291,12 @@ def main(argv=None):
                           f"CPU times times their speeds",
             "run_once": f"us per slot, horizon {SCALAR_HORIZON}, contention "
                         f"decision mode, seed 1, N = {list(RELAYS)}",
-            "run_lanes": f"ns per lane-slot of {list(LANE_SCHEDULERS)}, "
-                         f"the schedulers the lane engine runs (qcsma and "
-                         f"ub lanes run through run_once), N = 1, horizon "
-                         f"{LANE_HORIZON}, contention decision mode, "
-                         f"lanes = {list(LANE_COUNTS)}",
+            "run_lanes": f"ns per lane-slot of {list(lane_kinds)}, the "
+                         f"schedulers whose lanes every package's lane "
+                         f"engine runs (the others' lanes run through "
+                         f"run_once), N = 1, horizon {LANE_HORIZON}, "
+                         f"contention decision mode, lanes = "
+                         f"{list(LANE_COUNTS)}",
             "trace": f"us per slot of run_once at rho = {list(TRACE_RHO)}, "
                      f"lambda = {list(TRACE_LAM)}, rqcsma, sampler decision "
                      f"mode, horizon {TRACE_HORIZON}, seed 1: traced, its "
