@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contention import sampler_options as chain_states
-from .core import IDLE
+from .core import IDLE, NetworkParams
+from .scheduling import mws_step
 
 _ROW_TOL = 1e-12
 
@@ -306,15 +307,22 @@ class RateRegion2:
 
 
 def expected_service_rates(q0, q1, rho0, rho1):
-    """Conditional mean service rates of the reduced two-queue model.
+    """Mean direct, forwarding and relay service of max-weight scheduling
+    in the reduced two-queue model at backlogs (q0, q1).
 
-    The relay folds its relayed backlog into its own queue; under max-weight
-    service the direct, forwarding, and relay rates are exact functions of
-    the channel ON probabilities and the queue-comparison indicators.
+    The relay folds its relayed backlog into its own queue, so mws_step
+    runs on the row [q0, q1, q1] of a one-relay network with channel ON
+    probabilities (rho0, rho1); each rate is the probability of the channel
+    realizations on which it serves the source directly (source ON),
+    forwards (source OFF) or picks the relay. rho0 and rho1 must lie in
+    [0, 1].
     """
-    direct = rho0 * (1.0 - rho1) + rho0 * rho1 * (1.0 if q0 >= q1 else 0.0)
-    forward = ((1.0 - rho0) * (1.0 - rho1) * (1.0 if q0 - q1 > 0 else 0.0)
-               + (1.0 - rho0) * rho1 * (1.0 if q0 - q1 > q1 else 0.0))
-    relay = ((1.0 - rho0) * rho1 * (1.0 if q0 - q1 <= q1 else 0.0)
-             + rho0 * rho1 * (1.0 if q0 < q1 else 0.0))
-    return direct, forward, relay
+    params = NetworkParams(n_relays=1, rho=(rho0, rho1), lam=(0.0, 0.0))
+    rates = [0.0, 0.0, 0.0]
+    for channel in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x = mws_step([q0, q1, q1], channel, params)
+        if x is not IDLE:
+            mass = math.prod(r if on else 1.0 - r
+                             for r, on in zip(params.rho, channel))
+            rates[2 if x else 1 - channel[0]] += mass
+    return tuple(rates)

@@ -14,9 +14,12 @@ channel is ON, differential relayed backlog when OFF) and the larger-queue
 rule at relays. The *activation* probability a CSMA node uses to seize the
 slot is the logistic of a linear weight (activation_gain * action backlog),
 and a node whose action backlog is zero never newly activates. Linear
-activation gives exponential activation odds, which the near-boundary share
-allocations require; a log(1 + beta*x) weight's polynomial odds cannot
-realize them (see README). No scheduler reads NetworkParams.beta: mws is an
+activation gives activation odds exponential in the backlog. A weight
+C*log(1 + x) gives the odds (1 + x)**C, which also grow without bound, so
+its product form can still concentrate on the queues that need service; it
+needs larger backlogs to do so. No proof ranks the two: README "Weights and
+activation" quotes the runs that compared them, and ROADMAP item 1(e)
+measures them. No scheduler reads NetworkParams.beta: mws is an
 argmax, which a monotone weight function such as log(1 + beta*x) leaves
 unchanged.
 
@@ -25,24 +28,16 @@ Q_01..Q_0N]: a QueueState, or the list of ints run_once keeps, so the rule
 a test calls is the rule a run executes.
 
 action_backlog and differential_backlog define the action-backlog rule,
-and activation_probability the activation law. Tests read all three;
-_csma_step and lanes.activation_table call activation_probability, the one
-place the logistic is written. _csma_step is the carrier-sense rule: the
-Idle/defer test, the decision node's action backlog under the given
-channel read from the row, and one activation coin. rqcsma_step runs it on
-the realized channel's memory cell, and qcsma_step under an all-ON channel
-on the previous slot's schedule. mws_step evaluates the action-backlog
-rule inline, and ub_step its "backlog > 0" test under an all-ON channel,
-with no helper call per node. tests/test_rule_equivalence.py pins each
-step to the rule: mws_step to the argmax of action_backlog over
-core.transmitters(channel) for N in {1, 2, 3, 8}, and rqcsma_step,
-qcsma_step and ub_step to the old rules in tests/legacy_rules.py (which
-call action_backlog and activation_probability), decision for decision and
-coin for coin. tests/test_scheduling.py pins rqcsma_step's edges: an
-infeasible decision raises whatever its cell holds, an Idle decision
-writes its cell, and a CSMA step whose activation probability is exactly
-1.0 still draws one coin. It also checks that qcsma_step is rqcsma_step
-under an all-ON channel, decision for decision and coin for coin.
+and activation_probability the activation law, the one place the logistic
+is written. _csma_step is the carrier-sense rule: the Idle/defer test, the
+decision node's action_backlog under the given channel, and one coin
+against activation_probability. rqcsma_step runs it on the realized
+channel's memory cell, and qcsma_step under an all-ON channel on the
+previous slot's schedule. mws_step evaluates the action-backlog rule
+inline, and ub_step its "backlog > 0" test under an all-ON channel, with
+no helper call per node in their per-slot loops.
+analysis.expected_service_rates calls mws_step, and lanes.activation_table
+calls activation_probability.
 """
 
 from __future__ import annotations
@@ -121,15 +116,7 @@ def _csma_step(queues, channel, held, decision, params: NetworkParams,
     """
     if decision is IDLE or (held is not IDLE and held != decision):
         return held
-    # action_backlog of the decision node; at or below zero (its floor) no
-    # coin is drawn.
-    if decision != 0:
-        own, relayed = queues[decision], queues[decision + params.n_relays]
-        backlog = own if own >= relayed else relayed
-    elif channel[0]:
-        backlog = queues[0]
-    else:
-        backlog = queues[0] - min(queues[params.n_relays + 1:])
+    backlog = action_backlog(queues, channel, decision)
     if backlog > 0 and rng.uniform() < activation_probability(
             params.activation_gain * backlog):
         return decision

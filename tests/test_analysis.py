@@ -14,7 +14,7 @@ from relaysim.analysis import (StationaryDistribution, TransitionMatrix,
                                chain_states, dtmc_check, ray_direction)
 from relaysim.cli import main
 from relaysim.scheduling import (action_backlog, activation_probability,
-                                 rqcsma_step)
+                                 mws_step, rqcsma_step)
 
 
 def random_alpha(rng, nodes):
@@ -440,3 +440,32 @@ class TestExpectedServiceRates:
             assert mu0 == pytest.approx(rho0 * (1 - rho1))
             assert mu1 == pytest.approx(rho1)
             assert (l0 - mu0) + (l1 - mu1) < 0
+
+    @pytest.mark.parametrize("rho", [(0.4, 0.7), (0.3, 0.2), (0.9, 0.5)])
+    def test_rates_are_the_mass_of_each_mws_choice(self, rho):
+        # The relay's relayed backlog folds into its own queue: the row is
+        # [q0, q1, q1]. An empty source gets no direct service, and with the
+        # source OFF and q0 - q1 = q1 > 0 mws forwards (lowest index on ties).
+        params = NetworkParams(n_relays=1, rho=rho, lam=(0.0, 0.0))
+        wrong = []
+        for q0, q1 in itertools.product(range(9), repeat=2):
+            mass = {"direct": 0.0, "forward": 0.0, "relay": 0.0}
+            for s0, s1 in itertools.product((0, 1), repeat=2):
+                choice = mws_step([q0, q1, q1], (s0, s1), params)
+                if choice is IDLE:
+                    continue
+                kind = "relay" if choice == 1 else (
+                    "direct" if s0 else "forward")
+                mass[kind] += ((rho[0] if s0 else 1 - rho[0])
+                               * (rho[1] if s1 else 1 - rho[1]))
+            rates = expected_service_rates(q0, q1, *rho)
+            expected = (mass["direct"], mass["forward"], mass["relay"])
+            if any(abs(r - e) > 1e-12 for r, e in zip(rates, expected)):
+                wrong.append((q0, q1, rates, expected))
+        assert not wrong
+
+    @pytest.mark.parametrize("rho", [(-0.1, 0.7), (0.4, 1.2), (math.nan, 0.7),
+                                     (0.4, math.inf)])
+    def test_rejects_a_channel_probability_outside_0_1(self, rho):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            expected_service_rates(3, 1, *rho)

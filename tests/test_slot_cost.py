@@ -4,7 +4,9 @@ The per-slot cost tool calls run_once, lanes.run_lanes and the trace sink
 directly, so an API change in src/ would only surface when someone next
 regenerates BENCH_scalar.json. These tests load the tool from its source
 (writing nothing next to it), shrink its constants and run one small
-measurement, and check that bad LABEL=SRC arguments are refused up front.
+measurement, check that the packages alternate which runs first and that a
+ratio to the first package is taken turn by turn, and check that bad
+LABEL=SRC arguments are refused up front.
 """
 
 import sys
@@ -37,10 +39,23 @@ def slot_cost(monkeypatch):
     return module
 
 
-def assert_cell(cell):
-    assert set(cell) == {"median", "quartiles"}
+def assert_cell(cell, ratio=False):
+    """A spread cell; with `ratio`, one holding a spread "ratio_to_first"."""
+    assert set(cell) == {"median", "quartiles"} | (
+        {"ratio_to_first"} if ratio else set())
     q1, q3 = cell["quartiles"]
     assert 0 < q1 <= cell["median"] <= q3
+    if ratio:
+        assert_cell(cell["ratio_to_first"])
+
+
+def cells(table):
+    """Every spread cell of a package's table, at any depth."""
+    for value in table.values():
+        if isinstance(value, dict) and "median" in value:
+            yield value
+        elif isinstance(value, dict):
+            yield from cells(value)
 
 
 def test_measure_holds_every_kept_table(slot_cost):
@@ -94,6 +109,49 @@ def test_no_lane_row_for_a_scheduler_one_package_runs_off_lanes(
             assert set(table["run_lanes_ns_per_lane_slot" + twin]) == (
                 ON_LANES - {"mws"})
             assert "mws" in table["run_once_us_per_slot" + twin]
+    # only the package after the first holds ratios to the first
+    for label, ratio in (("x", False), ("y", True)):
+        found = list(cells(tables[label]))
+        assert found
+        for cell in found:
+            assert_cell(cell, ratio)
+
+
+def test_packages_alternate_which_runs_first(slot_cost, monkeypatch):
+    # Each call adds its next turn's seconds to the clock: the second
+    # package's turns take twice the first's.
+    ran = []
+    clock = [0.0]
+    monkeypatch.setattr(slot_cost, "host_speed", lambda: 1.0)
+    monkeypatch.setattr(slot_cost.time, "process_time", lambda: clock[0])
+
+    def call(label, turns):
+        turns = iter(turns)
+
+        def run():
+            ran.append(label)
+            clock[0] += next(turns)
+        return run
+    seconds = slot_cost.take_turns(
+        [call("a", [1.0, 2.0, 3.0]), call("b", [2.0, 4.0, 6.0])], [])
+    assert ran == ["a", "b", "b", "a", "a", "b"]
+    # each package's seconds stay in turn order, raw and at nominal speed
+    assert seconds == [([1.0, 2.0, 3.0],) * 2, ([2.0, 4.0, 6.0],) * 2]
+
+
+def test_ratio_to_first_is_taken_turn_by_turn(slot_cost, monkeypatch):
+    # Per turn the second package takes 3.0, 1.1 and 1.1 times the first's
+    # time; the ratio of the two medians would read 1.5.
+    turns = ([1.0, 2.0, 3.0], [3.0, 2.2, 3.3])
+    monkeypatch.setattr(slot_cost, "take_turns", lambda calls, speeds: [
+        (turns[k],) * 2 for k in range(len(calls))])
+    tables, _ = slot_cost.measure({"x": relaysim, "y": relaysim})
+    found = list(cells(tables["y"]))
+    assert found
+    for cell in found:
+        assert cell["ratio_to_first"] == {"median": 1.1,
+                                          "quartiles": [1.1, 3.0]}
+    assert not any("ratio_to_first" in cell for cell in cells(tables["x"]))
 
 
 @pytest.mark.parametrize("argument", ["foo", "a=/nonexistent"])

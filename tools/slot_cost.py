@@ -13,12 +13,12 @@ of:
 
 - run_once: microseconds per slot for each scheduler of
   scheduling.SCHEDULER_KINDS that every package has, at N = 1, 3 and 8
-  relays, horizon 2e4, contention decision mode;
+  relays, horizon SCALAR_HORIZON, contention decision mode;
 - lanes.run_lanes: nanoseconds per lane-slot for each scheduler whose
   lanes every package's lane engine runs (lanes._on_engine; the others'
   lanes run through run_once, which the first table already covers), at
-  N = 1, horizon 1e4, contention decision mode, with 3, 12, 24 and 48
-  lanes (one seed per lane);
+  N = 1, horizon LANE_HORIZON, contention decision mode, with 3, 12, 24
+  and 48 lanes (one seed per lane);
 - run_once at the shape of the benchmark's trace workload (rho = (0.4, 0.7),
   lambda = (0.5, 0.15), rqcsma in sampler mode, one seed), horizon
   TRACE_HORIZON: microseconds per slot with trace=True and a sink that
@@ -26,12 +26,24 @@ of:
   and the ratio of the two medians.
 
 Each figure is given as the median of its REPEATS turns and their first
-and third quartiles ({"median": m, "quartiles": [q1, q3]}), so two columns
-can be compared against their spread. Seven turns do not bound the drift
-between runs, though: in two runs on unchanged `run_once` code, 2 and 1
-of the 12 `run_once` rows at nominal speed had disjoint quartiles between
-the two columns, with medians up to 5.1% apart. Disjoint quartiles are
-therefore weak evidence for a shift under about 5%.
+and third quartiles ({"median": m, "quartiles": [q1, q3]}). The packages
+run in reverse order on every other turn, so neither always runs first.
+For each package after the first, each figure also holds "ratio_to_first":
+the median and quartiles of its per-turn CPU-time ratio to the first
+package, the two calls made one right after the other. Read a shift
+between two packages from that ratio, not from the two columns' own
+quartiles, which hold the host's drift over the whole run.
+
+The host's speed moves a lot from call to call but little within a few
+milliseconds, so the turns are short and many: REPEATS turns of calls of
+a few thousand slots. On a 2-vCPU Intel Xeon whose calls of 2 000 slots
+spread by 45% between their quartiles, two copies of one package (an A/A
+run) gave ratio medians of 0.992-1.003 on the 12 run_once rows and
+0.981-1.011 on all 22 rows with 101 turns of 2 000 slots; 7 turns of
+2e4 slots had given 0.952-1.162. One run can still carry a few percent of
+its own: of three runs comparing packages whose mws_step did not differ,
+one read the mws rows at 1.025-1.040 and the others at 0.997-1.005.
+Confirm a shift under about 4% with a second run.
 
 Right before and right after each timed call the calibration loop of the
 benchmark's perfbench/hostspeed.py runs CAL_LOOPS times; the mean of the
@@ -64,16 +76,16 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 7
+REPEATS = 101
 RELAYS = (1, 3, 8)
-SCALAR_HORIZON = 20_000
+SCALAR_HORIZON = 2_000
 LANE_COUNTS = (3, 12, 24, 48)
-LANE_HORIZON = 10_000
-TRACE_HORIZON = 20_000
+LANE_HORIZON = 2_000
+TRACE_HORIZON = 2_000
 TRACE_RHO = (0.4, 0.7)
 TRACE_LAM = (0.5, 0.15)
 HOSTSPEED_PATH = ROOT / "perfbench" / "hostspeed.py"
-CAL_LOOPS = 10
+CAL_LOOPS = 1
 
 
 @functools.cache
@@ -128,12 +140,14 @@ def spread(values, scale=1, digits=3):
 
 def take_turns(calls, speeds):
     """(CPU seconds, CPU seconds at nominal host speed) of each call's
-    turns, the calls run in turn REPEATS times; appends the host speed
-    measured around each call to `speeds`."""
+    turns, the calls run in turn REPEATS times, in reverse order on every
+    other turn; appends the host speed measured around each call to
+    `speeds`."""
     raw = [[] for _ in calls]
     nominal = [[] for _ in calls]
-    for _ in range(REPEATS):
-        for call, spent, scaled in zip(calls, raw, nominal):
+    for turn in range(REPEATS):
+        order = list(zip(calls, raw, nominal))
+        for call, spent, scaled in order[::-1] if turn % 2 else order:
             before = host_speed()
             t0 = time.process_time()
             call()
@@ -200,14 +214,19 @@ def measure(packages):
     def put(table, key, seconds, scale, digits):
         """The spread of each package's (raw, nominal) `seconds`, times
         `scale` and rounded to `digits`, at the path `key` of its table
-        `table` and of that table's nominal-speed twin."""
-        for label, (raw, nominal) in zip(packages, seconds):
-            for name, value in ((table, raw),
-                                (f"{table}_at_nominal_speed", nominal)):
-                cells = tables[label].setdefault(name, {})
+        `table` and of that table's nominal-speed twin. A package after
+        the first also gets the spread of its per-turn ratio to the first
+        package's seconds, as "ratio_to_first"."""
+        for k, (label, times) in enumerate(zip(packages, seconds)):
+            for twin, value, first in zip(("", "_at_nominal_speed"), times,
+                                          seconds[0]):
+                cells = tables[label].setdefault(table + twin, {})
                 for part in key[:-1]:
                     cells = cells.setdefault(part, {})
-                cells[key[-1]] = spread(value, scale, digits)
+                cell = cells[key[-1]] = spread(value, scale, digits)
+                if k:
+                    cell["ratio_to_first"] = spread(
+                        [v / f for v, f in zip(value, first)], digits=4)
 
     scalar_kinds, lane_kinds = schedulers(packages)
     for scheduler in scalar_kinds:
@@ -281,7 +300,12 @@ def main(argv=None):
         "method": {
             "clock": f"time.process_time over {REPEATS} turns, each figure "
                      f"their median and first and third quartiles; the "
-                     f"packages are imported in one process and take turns",
+                     f"packages are imported in one process and take turns, "
+                     f"in reverse order on every other turn",
+            "ratio_to_first": "for each package after the first, the median "
+                              "and quartiles of its per-turn CPU-time ratio "
+                              "to the first package's, raw and at nominal "
+                              "speed",
             "host_speed": f"before and after each timed call, {CAL_LOOPS} "
                           f"runs of perfbench/hostspeed.py's calibration_"
                           f"loop({hs.CAL_ITERS}); speed = the mean of the "
