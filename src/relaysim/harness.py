@@ -73,8 +73,6 @@ MAX_MASK_NODES = 63
 # Baseline, lane engine).
 MAX_BATCH_LANES = 256
 CI_LEVEL = 0.90  # level of aggregate_ci's two-sided Student-t interval
-# Most values whose interval quantile _T_QUANTILES holds.
-MAX_TABLED_SEEDS = 64
 
 
 @dataclass
@@ -415,6 +413,8 @@ _T_QUANTILES = (
     1.6715527624548587, 1.6710930321038946, 1.6706488649046363,
     1.6702194837737365, 1.6698041625120112, 1.6694022217068127,
 )
+# Most values whose interval quantile _T_QUANTILES holds: 64.
+MAX_TABLED_SEEDS = len(_T_QUANTILES) + 1
 
 
 @cache
@@ -486,10 +486,13 @@ def sweep_grid(config: ExperimentConfig, grid, workers=1):
     parts return only what a row reads of each run, and the rows are built
     here in grid order, so each run equals run_once and the rows are
     identical for every worker count. A point that fails validation is
-    reported with an "error" field instead of aborting the sweep.
+    reported with an "error" field instead of aborting the sweep; a
+    worker count below 1 raises ValueError before any lane runs.
     """
     from .lanes import lane_outcomes  # lanes builds on this module
 
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [config.params.seed + k for k in range(config.n_seeds)]
     errors = {}
     lanes = []

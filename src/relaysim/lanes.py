@@ -50,7 +50,9 @@ node and one column per lane, so that each row's lanes are contiguous):
   where run_once would draw.
 - activation probabilities: a table of activation_probability(gain * b)
   over integer backlogs b, so every coin compares against the value
-  run_once computes.
+  run_once computes. It is built once per call, up to the largest backlog
+  a lane can reach in the horizon or the first exact 1.0, whichever comes
+  first.
 - channel realizations: dense tables of 2^(N+1) cells indexed by the
   realization key (harness.realization_keys, as run_once keys them) mark
   the ones each seed has seen (one row per seed) and, for rqcsma, hold
@@ -183,8 +185,6 @@ def _simulate(config, lanes):
     seeds = [seed for _, seed in lanes]
     horizon = config.horizon
     rqcsma = config.scheduler == "rqcsma"  # in contention mode; else mws
-    window = params.contention_window
-    gain = params.activation_gain
     n_lanes = len(seeds)
     n = params.n_nodes
     m = params.a_max
@@ -224,24 +224,18 @@ def _simulate(config, lanes):
     # With one relay the source always forwards to its Q_01.
     target = relayed_at
 
-    def index(x):
-        """The flat index (x + 1) * n_lanes + lane that holds a lane's
-        schedule x (-1 for Idle); it reads the tables below: the queue
-        node x serves first and, for a relay, its relayed queue Q_0i
-        (Idle, and the source's alternative, read the zero row), and its
-        action backlog (Idle's row stays 0)."""
-        at = np.add(x, 1)
-        at *= n_lanes
-        at += lane
-        return at
-
+    # A lane's schedule x (-1 for Idle) is held as the flat index
+    # (x + 1) * n_lanes + lane into the tables below, Idle's being `lane`:
+    # the queue node x serves first and, for a relay, its relayed queue
+    # Q_0i (Idle, and the source's alternative, read the zero row), and its
+    # action backlog (Idle's row stays 0).
     own_at = (np.array([zero, *range(n)])[:, None] * n_lanes + lane).ravel()
     alt_at = (np.array([zero, zero, *range(n, zero)])[:, None] * n_lanes
               + lane).ravel()
     ab = np.zeros((n + 1, n_lanes), dtype=np.int64)
     abflat = ab.reshape(-1)
     ab0, ab_nodes, ab_relay = ab[1], ab[1:], ab[2:]
-    idle = index(-1)
+    idle = lane
     # Each slot's queue moves by flat index: [a served packet leaves,
     # a forwarded one arrives], the sink where none does.
     moves = np.empty((BLOCK_SLOTS, 2, n_lanes), dtype=np.int64)
@@ -259,7 +253,9 @@ def _simulate(config, lanes):
         b_row = lane * _COIN_BUFFER
         # Flat index of each lane's next scheduler-stream value.
         at = b_row + _COIN_BUFFER
-        table = activation_table(gain, 1)
+        # An action backlog is at most the total backlog, which starts at 0
+        # and grows by at most n * a_max per slot.
+        table = activation_table(params.activation_gain, n * m * horizon + 1)
     else:
         masked = np.zeros_like(ab)  # Idle's row stays 0
         masked_nodes = masked[1:]
@@ -293,18 +289,12 @@ def _simulate(config, lanes):
         if not rqcsma:
             mws_mask = per_lane(contends.swapaxes(1, 2).astype(np.int64), 2)
         else:
-            decision_at = index(per_lane(elect_rows(np.stack(
+            decision_at = lane + n_lanes * (per_lane(elect_rows(np.stack(
                 [s.contention.uniform_matrix(n_slots, n) for s in streams],
-                axis=1), window + 1, contends), 1))
+                axis=1), params.contention_window + 1, contends), 1) + 1)
             cell_at = per_lane(realization, 1) + lane * cells
             _refill(buf, at - b_row, coins)
             at = b_row.copy()
-            # An action backlog is at most the total backlog, which grows
-            # by at most n * a_max per slot.
-            reach = int(total.max()) + n * m * n_slots
-            top = len(table) - 1
-            if reach > top and table[top] != 1.0:
-                table = activation_table(gain, max(2 * top, reach) + 1)
 
         for t in range(n_slots):
             if relays > 1:

@@ -349,6 +349,19 @@ if __name__ == "__main__":
         assert sweep_grid(cfg, grid, workers=2) == serial
         assert asked == [3, 2]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_rejected(self, monkeypatch, workers):
+        import relaysim.lanes
+
+        ran = []
+        monkeypatch.setattr(relaysim.lanes, "lane_outcomes",
+                            lambda *args: ran.append(args) or [])
+        cfg = make_config(horizon=400, n_seeds=2)
+        with pytest.raises(ValueError,
+                           match=f"^workers must be >= 1, got {workers}$"):
+            sweep_grid(cfg, box_grid(3, 0.4, 0.4), workers=workers)
+        assert ran == []
+
     def test_zero_load_grid_all_stable(self):
         cfg = make_config(horizon=400, n_seeds=2)
         rows = sweep_grid(cfg, [(0.0, 0.0), (0.0, 0.0)])

@@ -7,14 +7,16 @@ lane engine (lanes.lane_outcomes), which reads each lane's mean backlog,
 final backlog and verdict from its arrays, and rqcsma's sampler-mode lanes
 through run_once; per-point run_seeds runs each seed on run_once. The rows
 must be equal at a horizon whose trajectories are too short to classify
-and at one that spans two blocks, for one and two workers.
+and at one that spans two blocks, for one and two workers. Each lane-engine
+call also builds one activation table, long enough for every backlog its
+lanes can reach.
 """
 
 import pytest
 
-from relaysim import ExperimentConfig, NetworkParams
+from relaysim import ExperimentConfig, NetworkParams, lanes
 from relaysim.harness import BLOCK_SLOTS, box_grid, gamma_grid, sweep_grid
-from relaysim.lanes import _on_engine
+from relaysim.lanes import _on_engine, lane_outcomes, run_lanes
 from test_lanes import per_point_rows
 
 RHO2 = (0.4, 0.7)
@@ -48,3 +50,39 @@ def test_sweep_rows_equal_per_point_runs(case, horizon):
         horizon == 99}
     for workers in (1, 2):
         assert sweep_grid(config, grid, workers=workers) == expected, workers
+
+
+@pytest.mark.parametrize("gain, size", [(1e-3, 18_463), (0.2, 185)])
+def test_one_activation_table_covers_every_reachable_backlog(
+        monkeypatch, gain, size):
+    """Each lane-engine call builds one activation table, before its block
+    loop. An action backlog is at most the total backlog, which gains at
+    most (N + 1) * a_max packets per slot, so the table holds an entry for
+    every backlog a lane can reach in the horizon, or ends at the exact 1.0
+    that every larger backlog also reads."""
+    activation_table, simulate = lanes.activation_table, lanes._simulate
+    tables, calls = [], []
+
+    def recording_table(*args):
+        tables.append(activation_table(*args))
+        return tables[-1]
+
+    def counting_simulate(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(lanes, "activation_table", recording_table)
+    monkeypatch.setattr(lanes, "_simulate", counting_simulate)
+    params = NetworkParams(n_relays=1, rho=(0.4, 0.7), lam=(0.0, 0.0),
+                           a_max=3, activation_gain=gain)
+    config = ExperimentConfig(params=params, scheduler="rqcsma",
+                              horizon=3 * BLOCK_SLOTS + 5, n_seeds=1)
+    lane_list = [((2.5, 2.0), 4), ((0.3, 0.1), 5)]
+    list(run_lanes(config, lane_list))
+    lane_outcomes(config, lane_list)
+    assert len(calls) == len(tables) == 2
+    reach = params.n_nodes * params.a_max * config.horizon + 1
+    for table in tables:
+        assert len(table) == size
+        assert table[-1] == 1.0 or len(table) >= reach
+    assert (tables[0][-1] == 1.0) == (gain == 0.2)
