@@ -42,12 +42,12 @@ def _load_config(args) -> ExperimentConfig:
         return parse_config(fh.read(), flags)
 
 
-def _add_common(parser, network=True):
-    """--config, the config-key flags (--rho and --lambda only with
-    `network`) and --out."""
+def _add_common(parser, rates=True):
+    """--config, the config-key flags (--lambda only with `rates`) and
+    --out."""
     parser.add_argument("--config", "-c", help="flat key=value config file")
     for flag, (key, options) in _CONFIG_FLAGS.items():
-        if network or key not in ("rho", "lambda"):
+        if rates or key != "lambda":
             parser.add_argument(flag, dest=key, **options)
     parser.add_argument("--out", "-o", help="output file (default stdout)")
 
@@ -106,6 +106,13 @@ def _require_count(name, value):
     """Reject the count `value` unless it is >= 1."""
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _one_relay(rho):
+    """`rho` if it holds one relay's two ON probabilities."""
+    if len(rho) != 2:
+        raise ValueError(f"need exactly one relay, got {len(rho) - 1}")
+    return rho
 
 
 def _require_bound(name, value):
@@ -192,9 +199,10 @@ def cmd_sweep(args):
 def cmd_region(args):
     with _input_errors(args):
         _require_count("n-angles", args.n_angles)
-        region = analysis.RateRegion2(args.rho0, args.rho1)
+        rho0, rho1 = _one_relay(parse_floats(args.rho))
+        region = analysis.RateRegion2(rho0, rho1)
     with _output(args) as out:
-        out.write(f"# rho0 = {args.rho0}\n# rho1 = {args.rho1}\n")
+        out.write(f"# rho0 = {rho0}\n# rho1 = {rho1}\n")
         out.write("angle_deg,lambda0,lambda1\n")
         for angle in np.linspace(0.0, 90.0, args.n_angles):
             l0, l1 = region.boundary(float(angle))
@@ -203,7 +211,8 @@ def cmd_region(args):
 
 def cmd_boundary_oracle(args):
     with _input_errors(args):
-        config = oracle_config(args.rho0, args.rho1, _load_config(args))
+        config = _load_config(args)
+        config = oracle_config(*_one_relay(config.params.rho), config)
         angles = parse_floats(args.angles)
         for angle in angles:
             analysis.ray_direction(angle)
@@ -212,7 +221,7 @@ def cmd_boundary_oracle(args):
             out.write(line + "\n")
         out.write("angle_deg,scale,lambda0,lambda1,capped\n")
         for angle in angles:
-            point = boundary_oracle(args.rho0, args.rho1, angle, config)
+            point = boundary_oracle(*config.params.rho, angle, config)
             out.write(f"{angle:.4f},{point['scale']:.4f},"
                       f"{point['lambda0']:.4f},{point['lambda1']:.4f},"
                       f"{int(point['capped'])}\n")
@@ -254,17 +263,14 @@ def main(argv=None):
 
     p_region = sub.add_parser("region",
                               help="closed-form rate-region boundary, CSV")
-    p_region.add_argument("--rho0", type=float, required=True)
-    p_region.add_argument("--rho1", type=float, required=True)
+    p_region.add_argument("--rho", required=True, **_CONFIG_FLAGS["--rho"][1])
     p_region.add_argument("--n-angles", type=int, default=91)
     p_region.add_argument("--out", "-o")
     p_region.set_defaults(func=cmd_region)
 
     p_oracle = sub.add_parser("boundary-oracle",
                               help="empirical stability boundary, CSV")
-    _add_common(p_oracle, network=False)
-    p_oracle.add_argument("--rho0", type=float, required=True)
-    p_oracle.add_argument("--rho1", type=float, required=True)
+    _add_common(p_oracle, rates=False)
     p_oracle.add_argument("--angles", default="0,30,45,60,90",
                           help="comma list of ray angles in degrees")
     p_oracle.set_defaults(func=cmd_boundary_oracle)

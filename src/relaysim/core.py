@@ -75,7 +75,7 @@ class NetworkParams:
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         n = self.n_relays
         if n < 1:
-            raise ValueError("need at least one relay")
+            raise ValueError(f"need at least one relay, got {n}")
         if len(self.rho) != n + 1 or len(self.lam) != n + 1:
             raise ValueError(f"rho and lam must have length N+1 = {n + 1}, "
                              f"got {len(self.rho)} and {len(self.lam)}")

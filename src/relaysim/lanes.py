@@ -50,9 +50,10 @@ node and one column per lane, so that each row's lanes are contiguous):
   where run_once would draw.
 - activation probabilities: a table of activation_probability(gain * b)
   over integer backlogs b, so every coin compares against the value
-  run_once computes. It is built once per call, up to the largest backlog
-  a lane can reach in the horizon or the first exact 1.0, whichever comes
-  first.
+  run_once computes. It is built once per call, up to the first exact 1.0
+  or the largest action backlog a lane can reach in the horizon, whichever
+  comes first: a_max * horizon, since no queue gains more than a_max
+  packets per slot.
 - channel realizations: dense tables of 2^(N+1) cells indexed by the
   realization key (harness.realization_keys, as run_once keys them) mark
   the ones each seed has seen (one row per seed) and, for rqcsma, hold
@@ -253,9 +254,9 @@ def _simulate(config, lanes):
         b_row = lane * _COIN_BUFFER
         # Flat index of each lane's next scheduler-stream value.
         at = b_row + _COIN_BUFFER
-        # An action backlog is at most the total backlog, which starts at 0
-        # and grows by at most n * a_max per slot.
-        table = activation_table(params.activation_gain, n * m * horizon + 1)
+        # An action backlog is at most one queue's backlog, which starts at
+        # 0 and grows by at most a_max per slot (a Q_0i by one forward).
+        table = activation_table(params.activation_gain, m * horizon + 1)
     else:
         masked = np.zeros_like(ab)  # Idle's row stays 0
         masked_nodes = masked[1:]

@@ -18,10 +18,10 @@ activation gives activation odds exponential in the backlog. A weight
 C*log(1 + x) gives the odds (1 + x)**C, which also grow without bound, so
 its product form can still concentrate on the queues that need service; it
 needs larger backlogs to do so. No proof ranks the two: README "Weights and
-activation" quotes the runs that compared them, and ROADMAP item 1(e)
-measures them. No scheduler reads NetworkParams.beta: mws is an
-argmax, which a monotone weight function such as log(1 + beta*x) leaves
-unchanged.
+activation" quotes the runs that compared them, and ROADMAP's "Remedies,
+measured" step measures them. No scheduler reads NetworkParams.beta: mws
+is an argmax, which a monotone weight function such as log(1 + beta*x)
+leaves unchanged.
 
 Every rule reads the backlogs by index from a flat row [Q_0, Q_1..Q_N,
 Q_01..Q_0N]: a QueueState, or the list of ints run_once keeps, so the rule

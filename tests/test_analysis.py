@@ -396,7 +396,7 @@ def test_ray_direction_is_cos_and_sin_over_the_quadrant():
 def test_boundary_oracle_rejects_a_full_turn(tmp_path):
     out = tmp_path / "F"
     with pytest.raises(SystemExit) as info:
-        main(["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7",
+        main(["boundary-oracle", "--rho", "0.4,0.7",
               "--angles", "0,360", "--out", str(out)])
     # a string exit code exits with status 1
     assert info.value.code == ("relaysim boundary-oracle: angle must lie in "

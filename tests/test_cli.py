@@ -61,7 +61,7 @@ def test_sweep_reproducible_bytes(tmp_path):
 
 def test_region_csv_matches_closed_form(tmp_path):
     out = tmp_path / "region.csv"
-    main(["region", "--rho0", "0.4", "--rho1", "0.7", "--n-angles", "5",
+    main(["region", "--rho", "0.4,0.7", "--n-angles", "5",
           "--out", str(out)])
     lines = [l for l in read_lines(out) if not l.startswith("#")]
     assert lines[0] == "angle_deg,lambda0,lambda1"
@@ -201,7 +201,7 @@ def exit_message(argv):
 def test_negative_seed_flag_rejected(tmp_path, command):
     argv = [command, "--seed", "-3", "--out", str(tmp_path / "out")]
     if command == "boundary-oracle":
-        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+        argv += ["--rho", "0.4,0.7"]
     assert "seed must be non-negative" in exit_message(argv)
     assert not (tmp_path / "out").exists()
 
@@ -371,7 +371,7 @@ def test_output_naming_the_config_file_rejected(tmp_path, monkeypatch,
     config, output = tmp_path / config, tmp_path / output
     argv = [command, "--config", str(config), flag, str(output)]
     if command == "boundary-oracle":
-        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+        argv += ["--rho", "0.4,0.7"]
     assert exit_message(argv) == (f"relaysim {command}: --config and {flag} "
                                   f"name the same file: {config}")
     assert (tmp_path / "x").read_text() == "horizon = 300\nn_seeds = 1\n"
@@ -387,7 +387,7 @@ def test_empty_config_path_rejected(tmp_path, monkeypatch, command, entry):
     monkeypatch.chdir(tmp_path)
     argv = [command, "--config", "", "--out", "out"]
     if command == "boundary-oracle":
-        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+        argv += ["--rho", "0.4,0.7"]
     assert exit_message(argv) == (f"relaysim {command}: [Errno 2] No such "
                                   f"file or directory: ''")
     assert list(tmp_path.iterdir()) == []
@@ -461,7 +461,7 @@ def test_interrupted_trace_keeps_the_lines_written(tmp_path, monkeypatch):
     (["sweep", "--workers", "0", "--grid", "2"],
      "relaysim sweep: workers must be >= 1, got 0"),
     (["sweep", "--grid", "0"], "relaysim sweep: grid must be >= 1, got 0"),
-    (["region", "--rho0", "0.4", "--rho1", "0.7", "--n-angles", "0"],
+    (["region", "--rho", "0.4,0.7", "--n-angles", "0"],
      "relaysim region: n-angles must be >= 1, got 0"),
 ])
 def test_counts_below_one_rejected(tmp_path, argv, message):
@@ -473,7 +473,7 @@ def test_counts_below_one_rejected(tmp_path, argv, message):
 @pytest.mark.parametrize("angle", ["100", "-5"])
 def test_boundary_oracle_off_quadrant_angle_rejected(tmp_path, angle):
     out = tmp_path / "oracle.csv"
-    assert exit_message(["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7",
+    assert exit_message(["boundary-oracle", "--rho", "0.4,0.7",
                          f"--angles=0,{angle}", "--horizon", "100",
                          "--out", str(out)]) == (
         f"relaysim boundary-oracle: angle must lie in [0, 90] degrees, "
@@ -482,16 +482,16 @@ def test_boundary_oracle_off_quadrant_angle_rejected(tmp_path, angle):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["region", "--rho0", "1.5", "--rho1", "0.7"],
+    (["region", "--rho", "1.5,0.7"],
      "relaysim region: rho0 and rho1 must lie in [0, 1]"),
-    (["boundary-oracle", "--rho0", "1.5", "--rho1", "0.7"],
+    (["boundary-oracle", "--rho", "1.5,0.7"],
      "relaysim boundary-oracle: channel ON probabilities must lie in [0, 1]"),
     (["sweep", "--gamma", "0.1,x"],
      "relaysim sweep: could not convert string to float: 'x'"),
-    (["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles",
+    (["boundary-oracle", "--rho", "0.4,0.7", "--angles",
       "30,x"],
      "relaysim boundary-oracle: could not convert string to float: 'x'"),
-    (["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles",
+    (["boundary-oracle", "--rho", "0.4,0.7", "--angles",
       "nan"], "relaysim boundary-oracle: angle must be finite, got nan"),
     (["run", "--lambda", "0.1"],
      "relaysim run: rho and lam must have length N+1 = 2, got 2 and 1"),
@@ -604,7 +604,7 @@ def test_boundary_oracle_header_is_the_config_it_ran(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "boundary_oracle", oracle)
     out = tmp_path / "oracle.csv"
-    main(["boundary-oracle", "--rho0", "0.3", "--rho1", "0.6", "--horizon",
+    main(["boundary-oracle", "--rho", "0.3,0.6", "--horizon",
           "100", "--angles", "90", "--out", str(out)])
     header = [l for l in read_lines(out) if l.startswith("#")]
     assert "# rho = 0.3, 0.6" in header
@@ -613,12 +613,81 @@ def test_boundary_oracle_header_is_the_config_it_ran(tmp_path, monkeypatch):
     assert header == harness.header_lines(seen[0])
 
 
-@pytest.mark.parametrize("flag", ["--rho", "--lambda"])
-def test_boundary_oracle_takes_no_network_flags(flag):
+def test_boundary_oracle_takes_no_lambda_flag():
     with pytest.raises(SystemExit) as info:
-        main(["boundary-oracle", "--rho0", "0.3", "--rho1", "0.6", flag,
-              "0.2,0.2"])
+        main(["boundary-oracle", "--rho", "0.3,0.6", "--lambda", "0.2,0.2"])
     assert info.value.code == 2
+
+
+def fake_oracle(rho0, rho1, angle, config):
+    """A boundary_oracle stand-in whose point shows the network it got."""
+    return {"scale": rho0, "lambda0": rho1, "lambda1": config.horizon / 1e5,
+            "capped": False}
+
+
+def test_boundary_oracle_takes_the_rho_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "boundary_oracle", fake_oracle)
+    out = tmp_path / "oracle.csv"
+    main(["boundary-oracle", "--rho", "0.2,0.2", "--angles", "90",
+          "--out", str(out)])
+    assert "# rho = 0.2, 0.2" in read_lines(out)
+    assert read_lines(out)[-1] == "90.0000,0.2000,0.2000,0.5000,0"
+
+
+def test_boundary_oracle_runs_the_config_files_rho(tmp_path, monkeypatch):
+    # the config file's rho used to be replaced by --rho0/--rho1 unseen
+    monkeypatch.setattr(cli, "boundary_oracle", fake_oracle)
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "oracle.csv"
+    cfg.write_text("rho = 0.3, 0.6\nhorizon = 100\n")
+    main(["boundary-oracle", "-c", str(cfg), "--angles", "90",
+          "--out", str(out)])
+    assert "# rho = 0.3, 0.6" in read_lines(out)
+    assert read_lines(out)[-1] == "90.0000,0.3000,0.6000,0.5000,0"
+
+
+def test_boundary_oracle_rho_flag_and_config_file_write_one_output(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "boundary_oracle", fake_oracle)
+    (tmp_path / "one.cfg").write_text("rho = 0.4, 0.7\n")
+    # --rho replaces a file's rho, three relays' included
+    (tmp_path / "n3.cfg").write_text("rho = 0.4, 0.7, 0.8, 0.7\n")
+    outputs = []
+    for argv in (["--rho", "0.4,0.7"], ["-c", str(tmp_path / "one.cfg")],
+                 ["-c", str(tmp_path / "n3.cfg"), "--rho", "0.4 0.7"]):
+        out = tmp_path / f"oracle-{len(outputs)}.csv"
+        main(["boundary-oracle", "--scheduler", "mws", "--seeds", "3",
+              "--angles", "0,45,90", "--out", str(out)] + argv)
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert b"# rho = 0.4, 0.7\n" in outputs[0]
+
+
+@pytest.mark.parametrize("rho,relays", [("0.4", 0), ("0.4,0.7,0.8,0.7", 3)])
+@pytest.mark.parametrize("command,source", [
+    ("region", "flag"), ("boundary-oracle", "flag"),
+    ("boundary-oracle", "config")])
+def test_rho_of_other_than_one_relay_rejected(tmp_path, monkeypatch,
+                                             command, source, rho, relays):
+    monkeypatch.setattr(cli, "boundary_oracle", lambda *args: (
+        pytest.fail("simulated a network of other than one relay")))
+    out, cfg = tmp_path / "out.csv", tmp_path / "exp.cfg"
+    cfg.write_text(f"rho = {rho}\n")
+    argv = [command, "--out", str(out)]
+    argv += ["--rho", rho] if source == "flag" else ["-c", str(cfg)]
+    message = exit_message(argv)
+    assert message.startswith(f"relaysim {command}: need ")
+    assert message.endswith(f" one relay, got {relays}")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_region_reads_rho_as_any_list(tmp_path):
+    outputs = []
+    for rho in ("0.4,0.7", "0.4 0.7", "0.4, 0.7"):
+        out = tmp_path / f"region-{len(outputs)}.csv"
+        main(["region", "--rho", rho, "--n-angles", "5", "--out", str(out)])
+        outputs.append(out.read_bytes())
+    assert outputs == [outputs[0]] * 3
+    assert outputs[0].startswith(b"# rho0 = 0.4\n# rho1 = 0.7\n")
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +761,7 @@ def test_unwritable_output_rejected_before_simulating(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, entry, simulate)
     argv = [command, flag, str(tmp_path / "nodir" / "x")]
     if command == "boundary-oracle":
-        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+        argv += ["--rho", "0.4,0.7"]
     assert exit_message(argv) == (
         f"relaysim {command}: {flag} {tmp_path / 'nodir' / 'x'}: directory "
         f"{tmp_path / 'nodir'} does not exist")
@@ -810,7 +879,7 @@ def test_multi_seed_runs_and_sweeps_import_no_scipy(tmp_path):
 @pytest.mark.parametrize("text", [",", ""])
 @pytest.mark.parametrize("argv", [
     ["sweep", "--horizon", "100", "--gamma"],
-    ["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles"]])
+    ["boundary-oracle", "--rho", "0.4,0.7", "--angles"]])
 def test_empty_rate_or_angle_list_rejected(tmp_path, argv, text):
     out = tmp_path / "out.csv"
     assert exit_message(argv + [text, "--out", str(out)]) == (
@@ -825,7 +894,7 @@ def test_empty_rate_or_angle_list_rejected(tmp_path, argv, text):
     ["run", "--horizon", "200", "--seeds", "1", "--lambda"],
     ["sweep", "--horizon", "100", "--seeds", "1", "--rho", "0.4,0.7",
      "--gamma"],
-    ["boundary-oracle", "--rho0", "0.4", "--rho1", "0.7", "--angles"]])
+    ["boundary-oracle", "--rho", "0.4,0.7", "--angles"]])
 def test_empty_list_entry_rejected(tmp_path, argv, text):
     # an empty entry used to vanish: --rho 0.4,,0.7,0.8 ran two relays
     out = tmp_path / "out"
@@ -867,7 +936,7 @@ def test_bad_scheduler_or_decision_mode_rejected_like_a_config_key(
         tmp_path, command, flag, key, value, message):
     argv = [command, "--out", str(tmp_path / "out")]
     if command == "boundary-oracle":
-        argv += ["--rho0", "0.4", "--rho1", "0.7"]
+        argv += ["--rho", "0.4,0.7"]
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"{key} = {value}\n")
     expected = f"relaysim {command}: {message}"

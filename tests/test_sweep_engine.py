@@ -17,7 +17,7 @@ import pytest
 from relaysim import ExperimentConfig, NetworkParams, lanes
 from relaysim.harness import BLOCK_SLOTS, box_grid, gamma_grid, sweep_grid
 from relaysim.lanes import _on_engine, lane_outcomes, run_lanes
-from test_lanes import per_point_rows
+from test_lanes import assert_lanes_equal_run_once, per_point_rows
 
 RHO2 = (0.4, 0.7)
 # Criterion 5a's three-relay fixture.
@@ -52,14 +52,14 @@ def test_sweep_rows_equal_per_point_runs(case, horizon):
         assert sweep_grid(config, grid, workers=workers) == expected, workers
 
 
-@pytest.mark.parametrize("gain, size", [(1e-3, 18_463), (0.2, 185)])
+@pytest.mark.parametrize("gain, size", [(1e-3, 9_232), (0.2, 185)])
 def test_one_activation_table_covers_every_reachable_backlog(
         monkeypatch, gain, size):
     """Each lane-engine call builds one activation table, before its block
-    loop. An action backlog is at most the total backlog, which gains at
-    most (N + 1) * a_max packets per slot, so the table holds an entry for
-    every backlog a lane can reach in the horizon, or ends at the exact 1.0
-    that every larger backlog also reads."""
+    loop. An action backlog is at most one queue's backlog, which gains at
+    most a_max packets per slot (a Q_0i at most one forward), so the table
+    holds an entry for every backlog a lane can reach in the horizon, or
+    ends at the exact 1.0 that every larger backlog also reads."""
     activation_table, simulate = lanes.activation_table, lanes._simulate
     tables, calls = [], []
 
@@ -81,8 +81,24 @@ def test_one_activation_table_covers_every_reachable_backlog(
     list(run_lanes(config, lane_list))
     lane_outcomes(config, lane_list)
     assert len(calls) == len(tables) == 2
-    reach = params.n_nodes * params.a_max * config.horizon + 1
+    reach = params.a_max * config.horizon + 1
     for table in tables:
         assert len(table) == size
         assert table[-1] == 1.0 or len(table) >= reach
     assert (tables[0][-1] == 1.0) == (gain == 0.2)
+
+
+@pytest.mark.parametrize("n_relays, a_max", [(1, 3), (3, 2)])
+def test_lanes_at_full_load_read_deep_into_the_table(n_relays, a_max):
+    """A source receiving a_max packets every slot, and serving at most
+    one, reaches backlogs beyond a third of the table's a_max * horizon
+    entries at a gain whose table never reaches 1.0; such lanes still equal
+    run_once field by field (a table a third as long fails here)."""
+    n = n_relays + 1
+    params = NetworkParams(n_relays=n_relays, rho=RHO4[:n], lam=(0.0,) * n,
+                           a_max=a_max, activation_gain=1e-3)
+    config = ExperimentConfig(params=params, scheduler="rqcsma",
+                              horizon=2 * BLOCK_SLOTS + 7, n_seeds=1)
+    lane_list = [((float(a_max),) * n, 4),
+                 ((float(a_max),) + (0.1,) * n_relays, 5)]
+    assert_lanes_equal_run_once(config, lane_list)
